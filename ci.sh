@@ -203,6 +203,11 @@ for report in BENCH_fleet.json BENCH_fleet_serial.json; do
     echo "error: $report did not characterize exactly once" >&2
     exit 1
   fi
+  # The smoke fleet mounts faults on ALU + shifter: two tape compilations.
+  if [ "$(jq '.target_compilations' "$report")" != "2" ]; then
+    echo "error: $report did not compile each mountable target exactly once" >&2
+    exit 1
+  fi
   # No adversary flag → no attacks, no detections, no alarms.
   if [ "$(jq '.aggregate | [.attacks_injected, .tampers_detected, .tamper_false_alarms] | @csv' \
           -r "$report")" != "0,0,0" ]; then
@@ -220,6 +225,19 @@ if ! diff <(jq -S '.aggregate' BENCH_fleet_serial.json) <(jq -S '.aggregate' BEN
   echo "error: fleet aggregate diverges between workers=1 and workers=2" >&2
   exit 1
 fi
+
+echo "== fleet smoke digest: pinned to its recorded value =="
+# Worker agreement alone passes an evaluator that is wrong the same way for
+# every worker count. The 1000-node smoke digest is a behaviour contract:
+# a change that moves it on purpose re-records it here.
+FLEET_SMOKE_DIGEST=0x408b7eb587f1eef0
+for report in BENCH_fleet_serial.json BENCH_fleet.json; do
+  digest="$(jq -r '.aggregate.fleet_digest' "$report")"
+  if [ "$digest" != "$FLEET_SMOKE_DIGEST" ]; then
+    echo "error: $report fleet_digest $digest, recorded $FLEET_SMOKE_DIGEST" >&2
+    exit 1
+  fi
+done
 
 echo "== fleet red-team smoke: adversarial population, keyed store (exit gates tamper SLO) =="
 # The binary itself exits nonzero unless every injected store attack is

@@ -89,7 +89,12 @@ fn fail(msg: &str) -> ! {
 }
 
 /// Consistency gates: the invariants ci.sh (and the exit code) rely on.
-fn check_invariants(run: &FleetRun, nodes: u64, adversary: bool) -> Result<(), String> {
+fn check_invariants(
+    run: &FleetRun,
+    nodes: u64,
+    adversary: bool,
+    targets: u64,
+) -> Result<(), String> {
     let agg = &run.aggregate;
     if agg.tampers_detected != agg.attacks_injected {
         return Err(format!(
@@ -116,6 +121,12 @@ fn check_invariants(run: &FleetRun, nodes: u64, adversary: bool) -> Result<(), S
         return Err(format!(
             "characterize-once violated: {} characterizations for {} nodes",
             run.characterizations, nodes
+        ));
+    }
+    if run.target_compilations != targets {
+        return Err(format!(
+            "compile-once violated: {} tape compilations for {targets} mountable targets",
+            run.target_compilations
         ));
     }
     let worker_sessions: u64 = run.workers.iter().map(|w| w.sessions).sum();
@@ -206,6 +217,7 @@ fn main() {
     if let Some(key_seed) = key_seed {
         characterizer = characterizer.with_key_seed(key_seed);
     }
+    let targets = characterizer.target_specs().len() as u64;
     let start = Instant::now();
     let run = run_fleet(&config, &characterizer, telemetry);
     let wall = start.elapsed().as_secs_f64();
@@ -253,6 +265,10 @@ fn main() {
             JsonValue::UInt(config.base_period_cycles),
         )
         .field("characterizations", JsonValue::UInt(run.characterizations))
+        .field(
+            "target_compilations",
+            JsonValue::UInt(run.target_compilations),
+        )
         .field("wall_seconds", JsonValue::Float(wall))
         .field(
             "throughput",
@@ -292,7 +308,7 @@ fn main() {
         );
     write_report_if_requested(&report, json_path.as_deref());
 
-    if let Err(msg) = check_invariants(&run, nodes, adversary) {
+    if let Err(msg) = check_invariants(&run, nodes, adversary, targets) {
         eprintln!("error: {msg}");
         std::process::exit(1);
     }

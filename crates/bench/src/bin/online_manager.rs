@@ -36,6 +36,7 @@
 //! the machine-readable report (per-scenario manager state, counters and
 //! the ordered event log).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use sbst_bench::{json_output_path, store_key_seed_from_env, write_report_if_requested};
@@ -48,7 +49,7 @@ use sbst_cpu::manager::{
     FaultFreeBench, ManagedComponent, ManagerConfig, OnlineTestManager, SessionStatus, SigLocation,
     SignatureStore, StorePolicy,
 };
-use sbst_cpu::ArchFault;
+use sbst_cpu::{ArchFault, CompiledTarget};
 use sbst_gates::Fault;
 use sbst_isa::parse_asm;
 
@@ -73,12 +74,13 @@ fn fresh_cpu() -> Cpu {
 /// A bench mounting a stuck-at-0 on the ALU result bus whenever
 /// `active(attempt)` says so.
 fn alu_fault_bench(cut: &Cut, active: impl Fn(u32) -> bool) -> impl FnMut(&str, u32, u64) -> Cpu {
-    let component = cut.component.clone();
+    // Compiled once per bench; every attempt mounts on the shared tape.
+    let target = Arc::new(CompiledTarget::compile(Arc::new(cut.component.clone())));
     let fault = Fault::stem_sa0(cut.component.ports.output("result").net(7));
     move |name: &str, attempt: u32, _now: u64| {
         let mut cpu = fresh_cpu();
         if name == "ALU" && active(attempt) {
-            cpu.mount_fault(ArchFault::new(component.clone(), fault));
+            cpu.mount_fault(ArchFault::mount(Arc::clone(&target), fault));
         }
         cpu
     }

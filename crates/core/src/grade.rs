@@ -14,12 +14,13 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use sbst_components::{
     alu, comparator, control, divider, memctrl, misc, multiplier, pipeline, regfile, shifter,
     ComponentKind,
 };
-use sbst_cpu::{ArchFault, Cpu, CpuConfig, CpuError, ExecStats, OperandTrace};
+use sbst_cpu::{ArchFault, CompiledTarget, Cpu, CpuConfig, CpuError, ExecStats, OperandTrace};
 use sbst_gates::{
     enumerate_transition_faults, Fault, FaultCoverage, FaultSimConfig, FaultSimulator, SimStats,
     Stimulus,
@@ -305,6 +306,8 @@ pub fn arch_validate_with(
     let stimulus = stimulus_for(cut, &trace);
     let replay =
         FaultSimulator::with_config(&cut.component.netlist, sim).simulate(faults, &stimulus);
+    // Compiled once per CUT; every sampled fault mounts on the shared tape.
+    let target = Arc::new(CompiledTarget::compile(Arc::new(cut.component.clone())));
 
     let mut v = ArchValidation::default();
     for (i, fault) in faults.iter().enumerate() {
@@ -317,7 +320,7 @@ pub fn arch_validate_with(
             ..CpuConfig::default()
         });
         cpu.load_program(&routine.program);
-        cpu.mount_fault(ArchFault::new(cut.component.clone(), *fault));
+        cpu.mount_fault(ArchFault::mount(Arc::clone(&target), *fault));
         let arch_detected = match cpu.run() {
             Ok(_) => {
                 let sig_addr = routine

@@ -485,7 +485,7 @@ impl Cpu {
         if self.config.trace {
             self.trace.alu.push(op);
         }
-        if let Some(af) = &self.arch_fault {
+        if let Some(af) = &mut self.arch_fault {
             if af.is_active(self.stats.cycles) {
                 if let Some(faulty) = af.eval_alu(&op) {
                     return faulty;
@@ -501,7 +501,7 @@ impl Cpu {
         if self.config.trace {
             self.trace.shifter.push(op);
         }
-        if let Some(af) = &self.arch_fault {
+        if let Some(af) = &mut self.arch_fault {
             if af.is_active(self.stats.cycles) {
                 if let Some(faulty) = af.eval_shift(&op) {
                     return faulty;
@@ -517,7 +517,7 @@ impl Cpu {
         if self.config.trace {
             self.trace.multiplier.push(op);
         }
-        if let Some(af) = &self.arch_fault {
+        if let Some(af) = &mut self.arch_fault {
             if af.is_active(self.stats.cycles) {
                 if let Some(faulty) = af.eval_mul(&op) {
                     return faulty;

@@ -7,6 +7,11 @@
 //! would in silicon — corrupted values flow into registers, addresses,
 //! branches and, eventually, the self-test signature. This end-to-end mode
 //! cross-validates the faster trace-replay grading of `sbst-core`.
+//!
+//! Mounted faults are evaluated on the production compiled tape
+//! ([`sbst_gates::CompiledTape`]): a [`CompiledTarget`] compiles a
+//! component once, and every [`ArchFault`] mounted on it keeps only its own
+//! tape state with the fault pre-injected.
 
 use std::sync::Arc;
 
@@ -14,7 +19,7 @@ use sbst_components::alu::{AluFunc, AluOp};
 use sbst_components::multiplier::MulOp;
 use sbst_components::shifter::{ShiftFunc, ShiftOp};
 use sbst_components::{Component, ComponentKind};
-use sbst_gates::{Fault, Simulator};
+use sbst_gates::{CompiledTape, Fault, NetId, Netlist, TapeState};
 
 /// Which datapath component the fault lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,40 +149,45 @@ impl FaultActivity {
     }
 }
 
-/// A faulty component mounted in the datapath.
-///
-/// The component netlist is held behind an [`Arc`]: mounting is a refcount
-/// bump, so fleet-scale fault campaigns (thousands of nodes mounting the
-/// same shared characterization's components every attempt) never clone a
-/// netlist.
+/// A component held by a compiled tape through its shared [`Arc`].
 #[derive(Debug)]
-pub struct ArchFault {
-    target: ArchFaultTarget,
-    component: Arc<Component>,
-    fault: Fault,
-    activity: FaultActivity,
+struct SharedNetlist(Arc<Component>);
+
+impl AsRef<Netlist> for SharedNetlist {
+    fn as_ref(&self) -> &Netlist {
+        &self.0.netlist
+    }
 }
 
-impl ArchFault {
-    /// Mounts `fault` inside `component` as a permanent fault.
+/// A datapath component compiled once for fault mounting: its shared
+/// netlist, the evaluation tape compiled from it, and its operand and
+/// result ports resolved to input positions and output nets.
+///
+/// Share one behind an [`Arc`] and [`ArchFault::mount`] any number of
+/// faults on it; compilation and port resolution never repeat per mount
+/// or per operation.
+#[derive(Debug)]
+pub struct CompiledTarget {
+    target: ArchFaultTarget,
+    component: Arc<Component>,
+    tape: CompiledTape<SharedNetlist>,
+    /// Input positions (in the netlist's input list) of each operand bus,
+    /// LSB first, in the order the `eval_*` methods drive them.
+    operands: Vec<Vec<usize>>,
+    /// Output nets of each result bus, LSB first, in the order the
+    /// `eval_*` methods read them.
+    results: Vec<Vec<NetId>>,
+}
+
+impl CompiledTarget {
+    /// Compiles `component` for mounting.
     ///
     /// # Panics
     ///
     /// Panics if the component kind does not admit architectural mounting
-    /// (only ALU, shifter and multiplier are datapath-replaceable) or if
-    /// the component is not full width (32-bit).
-    pub fn new(component: Component, fault: Fault) -> Self {
-        Self::from_shared(Arc::new(component), fault)
-    }
-
-    /// [`ArchFault::new`] over an already-shared component — the fleet
-    /// path, where one characterization's netlists are mounted on many
-    /// simulated nodes without cloning.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`ArchFault::new`].
-    pub fn from_shared(component: Arc<Component>, fault: Fault) -> Self {
+    /// (only ALU, shifter and multiplier are datapath-replaceable), if the
+    /// component is not full width (32-bit) or if its netlist is sequential.
+    pub fn compile(component: Arc<Component>) -> Self {
         let target = match component.kind {
             ComponentKind::Alu => ArchFaultTarget::Alu,
             ComponentKind::Shifter => ArchFaultTarget::Shifter,
@@ -185,11 +195,100 @@ impl ArchFault {
             other => panic!("component {other} cannot be architecturally mounted"),
         };
         assert_eq!(component.width, 32, "architectural mounting needs width 32");
+        // Nothing latches, so every tape evaluation starts from reset.
+        assert!(
+            component.netlist.is_combinational(),
+            "architectural mounting needs a combinational netlist"
+        );
+        let (operands, results): (&[&str], &[&str]) = match target {
+            ArchFaultTarget::Alu => (&["a", "b", "op"], &["result", "zero"]),
+            ArchFaultTarget::Shifter => (&["data", "amount", "op"], &["result"]),
+            ArchFaultTarget::Multiplier => (&["a", "b"], &["product"]),
+        };
+        let netlist = &component.netlist;
+        let operands = operands
+            .iter()
+            .map(|&port| {
+                component
+                    .ports
+                    .input(port)
+                    .iter()
+                    .map(|&net| {
+                        netlist
+                            .input_position(net)
+                            .expect("operand port bits are primary inputs")
+                    })
+                    .collect()
+            })
+            .collect();
+        let results = results
+            .iter()
+            .map(|&port| component.ports.output(port).nets().to_vec())
+            .collect();
+        CompiledTarget {
+            target,
+            tape: CompiledTape::compile(SharedNetlist(Arc::clone(&component))),
+            component,
+            operands,
+            results,
+        }
+    }
+
+    /// The shared component the tape was compiled from.
+    pub fn component(&self) -> &Arc<Component> {
+        &self.component
+    }
+}
+
+/// A faulty component mounted in the datapath.
+///
+/// A mount is a handle to a shared [`CompiledTarget`] plus its own tape
+/// state, built once with the fault injected in lane 0. Each datapath
+/// operation then drives the operands by precomputed input position,
+/// replays the tape and reads the result nets: no allocation, no port
+/// lookup by name and no hashing per operation. Every evaluation starts
+/// from the reset state (the mountable components are combinational and
+/// nothing latches), so it equals a fresh gate-level simulation of the
+/// faulty netlist — [`sbst_gates::Simulator`] is kept as the test oracle
+/// for exactly that.
+///
+/// A fault site the component's netlist does not have (a net or gate
+/// index beyond its tables) is ignored: the mount evaluates the
+/// fault-free netlist, as the oracle does.
+#[derive(Debug)]
+pub struct ArchFault {
+    target: Arc<CompiledTarget>,
+    fault: Fault,
+    activity: FaultActivity,
+    state: TapeState<1>,
+}
+
+impl ArchFault {
+    /// Mounts `fault` inside `component` as a permanent fault, compiling
+    /// the component for this one mount. To mount many faults on one
+    /// component, compile a [`CompiledTarget`] once and use
+    /// [`ArchFault::mount`].
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`CompiledTarget::compile`].
+    pub fn new(component: Component, fault: Fault) -> Self {
+        Self::mount(
+            Arc::new(CompiledTarget::compile(Arc::new(component))),
+            fault,
+        )
+    }
+
+    /// Mounts `fault` as a permanent fault on an already compiled, shared
+    /// target — a refcount bump plus this mount's own value buffers.
+    pub fn mount(target: Arc<CompiledTarget>, fault: Fault) -> Self {
+        let mut state = TapeState::new(&target.tape);
+        state.inject_fault(&target.tape, &fault, 0);
         ArchFault {
             target,
-            component,
             fault,
             activity: FaultActivity::Permanent,
+            state,
         }
     }
 
@@ -201,7 +300,7 @@ impl ArchFault {
 
     /// The mounted target.
     pub fn target(&self) -> ArchFaultTarget {
-        self.target
+        self.target.target
     }
 
     /// The injected fault.
@@ -214,56 +313,54 @@ impl ArchFault {
         self.activity.is_active(cycle)
     }
 
+    /// Drives one word per operand bus and evaluates the faulty tape.
+    fn run(&mut self, operands: &[u64]) {
+        let target = &*self.target;
+        for (positions, &word) in target.operands.iter().zip(operands) {
+            for (bit, &pos) in positions.iter().enumerate() {
+                self.state.set_input_at(pos, (word >> bit) & 1 == 1);
+            }
+        }
+        self.state.eval(&target.tape);
+    }
+
+    /// The word on result bus `port` after [`ArchFault::run`].
+    fn result(&self, port: usize) -> u64 {
+        self.target.results[port]
+            .iter()
+            .enumerate()
+            .fold(0, |word, (bit, &net)| {
+                word | (self.state.value(net)[0] & 1) << bit
+            })
+    }
+
     /// Evaluates an ALU operation through the faulty netlist.
     /// Returns `None` if the mounted component is not the ALU.
-    pub fn eval_alu(&self, op: &AluOp) -> Option<(u32, bool)> {
-        if self.target != ArchFaultTarget::Alu {
+    pub fn eval_alu(&mut self, op: &AluOp) -> Option<(u32, bool)> {
+        if self.target() != ArchFaultTarget::Alu {
             return None;
         }
-        let c = &self.component;
-        let mut sim = Simulator::new(&c.netlist);
-        sim.inject_fault(&self.fault, 1);
-        sim.set_bus(c.ports.input("a"), op.a as u64);
-        sim.set_bus(c.ports.input("b"), op.b as u64);
-        sim.set_bus(c.ports.input("op"), op.func.encoding() as u64);
-        sim.eval();
-        Some((
-            sim.bus_value(c.ports.output("result")) as u32,
-            sim.bus_value(c.ports.output("zero")) & 1 == 1,
-        ))
+        self.run(&[op.a as u64, op.b as u64, op.func.encoding() as u64]);
+        Some((self.result(0) as u32, self.result(1) & 1 == 1))
     }
 
     /// Evaluates a shift through the faulty netlist.
-    pub fn eval_shift(&self, op: &ShiftOp) -> Option<u32> {
-        if self.target != ArchFaultTarget::Shifter {
+    pub fn eval_shift(&mut self, op: &ShiftOp) -> Option<u32> {
+        if self.target() != ArchFaultTarget::Shifter {
             return None;
         }
-        let c = &self.component;
-        let mut sim = Simulator::new(&c.netlist);
-        sim.inject_fault(&self.fault, 1);
-        sim.set_bus(c.ports.input("data"), op.data as u64);
-        sim.set_bus(c.ports.input("amount"), op.amount as u64);
-        sim.set_bus(c.ports.input("op"), op.func.encoding() as u64);
-        sim.eval();
-        Some(sim.bus_value(c.ports.output("result")) as u32)
+        self.run(&[op.data as u64, op.amount as u64, op.func.encoding() as u64]);
+        Some(self.result(0) as u32)
     }
 
-    /// Evaluates a multiplication through the faulty netlist.
-    pub fn eval_mul(&self, op: &MulOp) -> Option<u64> {
-        if self.target != ArchFaultTarget::Multiplier {
+    /// Evaluates a multiplication through the faulty netlist (the 64-bit
+    /// product).
+    pub fn eval_mul(&mut self, op: &MulOp) -> Option<u64> {
+        if self.target() != ArchFaultTarget::Multiplier {
             return None;
         }
-        let c = &self.component;
-        let mut sim = Simulator::new(&c.netlist);
-        sim.inject_fault(&self.fault, 1);
-        sim.set_bus(c.ports.input("a"), op.a as u64);
-        sim.set_bus(c.ports.input("b"), op.b as u64);
-        sim.eval();
-        // 64-bit product: read in two 32-bit halves.
-        let product = c.ports.output("product");
-        let lo = sim.bus_lane(&product.slice(0..32), 0);
-        let hi = sim.bus_lane(&product.slice(32..64), 0);
-        Some((hi << 32) | lo)
+        self.run(&[op.a as u64, op.b as u64]);
+        Some(self.result(0))
     }
 
     /// Convenience: `AluFunc` reference evaluation with the fault-free
@@ -296,7 +393,7 @@ mod tests {
     fn faulty_alu_differs_somewhere() {
         let c = alu::alu(32);
         let fault = Fault::stem_sa0(c.ports.output("result").net(0));
-        let af = ArchFault::new(c, fault);
+        let mut af = ArchFault::new(c, fault);
         let op = AluOp {
             func: AluFunc::Add,
             a: 1,
@@ -312,7 +409,7 @@ mod tests {
         // inject into the zero flag reduction and check add still works.
         let c = alu::alu(32);
         let zero_net = c.ports.output("zero").net(0);
-        let af = ArchFault::new(c, Fault::stem_sa1(zero_net));
+        let mut af = ArchFault::new(c, Fault::stem_sa1(zero_net));
         let op = AluOp {
             func: AluFunc::Add,
             a: 123,
@@ -327,7 +424,7 @@ mod tests {
     fn mismatched_target_returns_none() {
         let c = shifter::shifter(32);
         let fault = Fault::stem_sa0(c.ports.output("result").net(5));
-        let af = ArchFault::new(c, fault);
+        let mut af = ArchFault::new(c, fault);
         assert!(af
             .eval_alu(&AluOp {
                 func: AluFunc::And,
@@ -348,7 +445,7 @@ mod tests {
     fn faulty_multiplier_corrupts_product() {
         let c = multiplier::multiplier(32);
         let fault = Fault::stem_sa1(c.ports.output("product").net(0));
-        let af = ArchFault::new(c, fault);
+        let mut af = ArchFault::new(c, fault);
         let op = MulOp { a: 2, b: 2 };
         assert_ne!(af.eval_mul(&op).unwrap(), ArchFault::good_mul(&op));
     }

@@ -3,32 +3,36 @@
 //! A fleet of simulated nodes shares one set of immutable test artifacts:
 //! the graded schedule (routine programs + watchdog budgets), the golden
 //! [`SignatureStore`], the per-component characterization coverage, and
-//! the fault-mountable netlists. [`Characterizer`] builds them exactly
-//! once — on whichever worker thread asks first — and hands out `Arc`
-//! clones; an atomic counter proves the "exactly once" claim for any node
-//! count and any worker count, the same way the compiled-tape engine's
-//! `tape_compilations` counter proves tapes are never rebuilt per pattern.
+//! the fault-mountable components, each compiled once into an evaluation
+//! tape. [`Characterizer`] builds them exactly once — on whichever worker
+//! thread asks first — and hands out `Arc` clones; atomic counters prove
+//! the "exactly once" claims (one characterization, one tape compilation
+//! per mountable target) for any node count and any worker count, the
+//! same way the compiled-tape engine's `tape_compilations` counter proves
+//! tapes are never rebuilt per pattern.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use sbst_components::Component;
 use sbst_core::plan::build_managed_schedule_graded;
 use sbst_core::Cut;
+use sbst_cpu::faulty::CompiledTarget;
 use sbst_cpu::mac::MacKey;
 use sbst_cpu::manager::{ManagedComponent, SignatureStore};
 use sbst_gates::FaultSimConfig;
 
 use crate::profile::TargetSpec;
 
-/// A fault-mountable target with its shared netlist.
+/// A fault-mountable target, compiled once per characterization.
 #[derive(Debug, Clone)]
 pub struct FaultTarget {
     /// Component name — matches the managed schedule's key.
     pub name: String,
-    /// The shared netlist; mounting an [`sbst_cpu::ArchFault`] from this
-    /// is a refcount bump, never a clone.
-    pub component: Arc<Component>,
+    /// The shared component and its compiled tape; mounting an
+    /// [`sbst_cpu::ArchFault`] on it ([`sbst_cpu::ArchFault::mount`]) is a
+    /// refcount bump plus the mount's own value buffers — never a netlist
+    /// clone or a recompilation.
+    pub compiled: Arc<CompiledTarget>,
     /// Site description (port + width) used when planning faults.
     pub spec: TargetSpec,
 }
@@ -60,6 +64,7 @@ pub struct Characterizer {
     key_seed: Option<u64>,
     cell: OnceLock<Arc<SharedArtifacts>>,
     runs: AtomicU64,
+    target_compiles: AtomicU64,
 }
 
 impl Characterizer {
@@ -77,6 +82,7 @@ impl Characterizer {
             key_seed: None,
             cell: OnceLock::new(),
             runs: AtomicU64::new(0),
+            target_compiles: AtomicU64::new(0),
         }
     }
 
@@ -123,9 +129,11 @@ impl Characterizer {
                 .iter()
                 .filter_map(|cut| {
                     let spec = TargetSpec::for_kind(cut.kind(), cut.component.width)?;
+                    self.target_compiles.fetch_add(1, Ordering::Relaxed);
+                    let component = Arc::new(cut.component.clone());
                     Some(FaultTarget {
                         name: cut.name().to_owned(),
-                        component: Arc::new(cut.component.clone()),
+                        compiled: Arc::new(CompiledTarget::compile(component)),
                         spec,
                     })
                 })
@@ -150,6 +158,13 @@ impl Characterizer {
     pub fn characterizations(&self) -> u64 {
         self.runs.load(Ordering::Relaxed)
     }
+
+    /// How many mountable targets were compiled into evaluation tapes (the
+    /// fleet invariant is one per target after any run, for any node and
+    /// worker count: nodes mount faults on the shared compiled targets).
+    pub fn target_compilations(&self) -> u64 {
+        self.target_compiles.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
@@ -171,11 +186,13 @@ mod tests {
             }
         });
         assert_eq!(chr.characterizations(), 1);
+        assert_eq!(chr.target_compilations(), 2);
         // A later call reuses the same allocation.
         let a = chr.artifacts();
         let b = chr.artifacts();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(chr.characterizations(), 1);
+        assert_eq!(chr.target_compilations(), 2);
     }
 
     #[test]
@@ -205,7 +222,7 @@ mod tests {
         }
         assert_eq!(artifacts.targets.len(), 2);
         for target in &artifacts.targets {
-            assert_eq!(target.component.width, 32);
+            assert_eq!(target.compiled.component().width, 32);
             assert!(target.spec.width >= 32);
         }
         assert_eq!(chr.target_specs().len(), 2);

@@ -142,7 +142,8 @@ impl FleetNode {
         manager.advance_clock(profile.phase_cycles);
         let planned_fault = profile.fault.map(|f| {
             let target = &artifacts.targets[f.target];
-            let net = target.component.ports.output(target.spec.port).net(f.bit);
+            let component = target.compiled.component();
+            let net = component.ports.output(target.spec.port).net(f.bit);
             if f.stuck_at_one {
                 Fault::stem_sa1(net)
             } else {
@@ -243,7 +244,7 @@ impl FleetNode {
                 if let Some(local) = activity.rebase(now) {
                     if let Some(target) = targets.iter().find(|t| t.name == name) {
                         cpu.mount_fault(
-                            ArchFault::from_shared(Arc::clone(&target.component), fault)
+                            ArchFault::mount(Arc::clone(&target.compiled), fault)
                                 .with_activity(local),
                         );
                     }

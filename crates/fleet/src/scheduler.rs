@@ -95,6 +95,9 @@ pub struct FleetRun {
     pub workers: Vec<WorkerStats>,
     /// Characterizations that ran (the invariant: exactly 1).
     pub characterizations: u64,
+    /// Mountable targets compiled into evaluation tapes (the invariant:
+    /// one per target, however many nodes mounted faults on them).
+    pub target_compilations: u64,
     /// Telemetry lines streamed (0 without a telemetry sink).
     pub telemetry_lines: u64,
     /// Telemetry flushes performed by the shared writer.
@@ -381,6 +384,7 @@ pub fn run_fleet(
         aggregate,
         workers: worker_stats,
         characterizations: characterizer.characterizations(),
+        target_compilations: characterizer.target_compilations(),
         telemetry_lines,
         telemetry_flushes,
     }

@@ -40,6 +40,8 @@ fn run(nodes: u64, workers: usize, record_events: bool) -> FleetRun {
 fn aggregates_and_event_logs_bit_identical_across_worker_counts() {
     let reference = run(24, 1, true);
     assert_eq!(reference.characterizations, 1);
+    // ALU + shifter: each compiled once, however many nodes mounted faults.
+    assert_eq!(reference.target_compilations, 2);
     assert_eq!(reference.outcomes.len(), 24);
     // The faulty mix must actually do something or the differential is
     // vacuous.
@@ -48,6 +50,7 @@ fn aggregates_and_event_logs_bit_identical_across_worker_counts() {
     for workers in [2usize, 7] {
         let other = run(24, workers, true);
         assert_eq!(other.characterizations, 1, "{workers} workers");
+        assert_eq!(other.target_compilations, 2, "{workers} workers");
         assert_eq!(
             reference.aggregate, other.aggregate,
             "aggregate diverges at {workers} workers"

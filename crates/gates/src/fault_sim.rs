@@ -683,7 +683,7 @@ pub struct FaultSimulator<'a> {
     /// run and reused by every later [`FaultSimulator::simulate`] call on
     /// this simulator — callers that grade many small stimuli (ATPG fault
     /// dropping) pay compilation once per simulator, not once per call.
-    tape: OnceLock<CompiledTape<'a>>,
+    tape: OnceLock<CompiledTape<&'a Netlist>>,
 }
 
 impl<'a> FaultSimulator<'a> {
@@ -782,7 +782,7 @@ impl<'a> FaultSimulator<'a> {
     /// calling thread.
     fn simulate_serial(
         &self,
-        tape: Option<&CompiledTape<'_>>,
+        tape: Option<&CompiledTape<&Netlist>>,
         batches: &[Vec<u32>],
         faults: FaultList<'_>,
         stimulus: &Stimulus,
@@ -830,7 +830,7 @@ impl<'a> FaultSimulator<'a> {
     /// per-batch results in fault-index order.
     fn simulate_threaded(
         &self,
-        tape: Option<&CompiledTape<'_>>,
+        tape: Option<&CompiledTape<&Netlist>>,
         batches: &[Vec<u32>],
         faults: FaultList<'_>,
         stimulus: &Stimulus,
@@ -940,7 +940,7 @@ impl<'a> FaultSimulator<'a> {
     /// performed, alongside the optional reference responses.
     fn run_batch(
         &self,
-        tape: Option<&CompiledTape<'_>>,
+        tape: Option<&CompiledTape<&Netlist>>,
         faults: FaultList<'_>,
         batch: &[u32],
         stimulus: &Stimulus,
@@ -1028,7 +1028,7 @@ impl<'a> FaultSimulator<'a> {
     /// blocks, with lane 0 of word 0 still the fault-free reference.
     fn run_batch_compiled(
         &self,
-        tape: &CompiledTape<'_>,
+        tape: &CompiledTape<&Netlist>,
         faults: FaultList<'_>,
         batch: &[u32],
         stimulus: &Stimulus,

@@ -72,7 +72,7 @@ pub use net::{Bus, NetId};
 pub use netlist::{Netlist, NetlistBuilder};
 pub use scoap::Testability;
 pub use sim::{Simulator, LANES};
-pub use tape::{CompiledTape, TapeSimulator, MAX_LANE_WORDS};
+pub use tape::{CompiledTape, TapeSimulator, TapeState, MAX_LANE_WORDS};
 pub use tape3::{eval3, Dual3, Tape3, T3};
 
 pub use coverage::FaultCoverage;

@@ -42,6 +42,14 @@ pub struct Netlist {
     level_count: u32,
 }
 
+/// Lets a [`crate::CompiledTape`] hold its netlist by reference or through
+/// an owning handle alike.
+impl AsRef<Netlist> for Netlist {
+    fn as_ref(&self) -> &Netlist {
+        self
+    }
+}
+
 impl Netlist {
     /// The netlist's name (e.g. `"alu32"`).
     pub fn name(&self) -> &str {

@@ -13,10 +13,11 @@
 //!    one pin, unobserved, and not latched) are collapsed into a *single*
 //!    tape entry whose micro-ops stream through an accumulator held in
 //!    registers, eliminating the interior loads and stores entirely.
-//! 2. **Wide lanes** ([`TapeSimulator`]): every net value is `W` 64-bit
-//!    words instead of one, so a `W = 4` pass simulates 256 independent
-//!    machines — one fault-free reference plus up to 255 faulty ones —
-//!    and the `[u64; W]` logic ops auto-vectorize.
+//! 2. **Wide lanes** ([`TapeState`], driven through [`TapeSimulator`]):
+//!    every net value is `W` 64-bit words instead of one, so a `W = 4`
+//!    pass simulates 256 independent machines — one fault-free reference
+//!    plus up to 255 faulty ones — and the `[u64; W]` logic ops
+//!    auto-vectorize.
 //!
 //! Fault injection is precomputed off the hot path: stem faults on an
 //! entry's final output apply a wide stuck-at mask after the accumulator
@@ -24,9 +25,13 @@
 //! gate input pins) flip that one entry into a gate-by-gate "expanded"
 //! evaluation that reproduces [`crate::Simulator`] semantics exactly. All
 //! other entries keep the fast path, so a 255-fault batch expands only the
-//! handful of entries its faults actually touch.
-
-use std::collections::HashMap;
+//! handful of entries its faults actually touch. Injected faults live in
+//! dense per-site tables, so an evaluation does no hashing.
+//!
+//! The tape is immutable and the simulation state is a separate owned
+//! value: a [`TapeSimulator`] borrows its tape, while a [`TapeState`] takes
+//! the tape on every call, so one tape held behind an `Arc` can drive many
+//! independently owned states (one per mounted fault, say).
 
 use crate::fault::{Fault, FaultSite, TransitionFault};
 use crate::gate::{GateId, GateKind};
@@ -124,12 +129,16 @@ struct TapeEntry {
 
 /// A netlist compiled into a flat evaluation tape (see the module docs).
 ///
-/// Compile once with [`CompiledTape::compile`], then instantiate any
-/// number of independent [`TapeSimulator`]s over it — the tape itself is
-/// immutable and shared freely across threads.
+/// Compile once with [`CompiledTape::compile`], then drive any number of
+/// independent simulations over it — the tape itself is immutable and
+/// shared freely across threads. `N` is however the tape holds its
+/// netlist: `&Netlist` for a borrowing [`TapeSimulator`], or an owning
+/// handle (say, a newtype around an `Arc`-shared component) when the tape
+/// must live behind an `Arc` of its own and be driven through a
+/// [`TapeState`].
 #[derive(Debug)]
-pub struct CompiledTape<'a> {
-    netlist: &'a Netlist,
+pub struct CompiledTape<N> {
+    netlist: N,
     entries: Vec<TapeEntry>,
     mops: Vec<MicroOp>,
     /// Operand pool for n-ary micro-ops (net indices).
@@ -146,7 +155,18 @@ pub struct CompiledTape<'a> {
     comb_gate_count: u64,
 }
 
-impl<'a> CompiledTape<'a> {
+/// The tape arrays under construction; borrows the netlist only while
+/// [`CompiledTape::compile`] runs.
+struct TapeBuilder<'n> {
+    netlist: &'n Netlist,
+    entries: Vec<TapeEntry>,
+    mops: Vec<MicroOp>,
+    pool: Vec<u32>,
+    chain_gates: Vec<GateId>,
+    entry_of_gate: Vec<u32>,
+}
+
+impl<N: AsRef<Netlist>> CompiledTape<N> {
     /// Compiles `netlist` into an evaluation tape, collapsing fanout-free
     /// gate chains.
     ///
@@ -158,20 +178,22 @@ impl<'a> CompiledTape<'a> {
     /// chain's *final* gate, which keeps every external operand defined
     /// before use (externals are always final outputs of earlier entries,
     /// primary inputs, or flip-flop state).
-    pub fn compile(netlist: &'a Netlist) -> Self {
+    pub fn compile(netlist: N) -> Self {
+        let nl = netlist.as_ref();
         let is_output: std::collections::HashSet<u32> =
-            netlist.outputs().iter().map(|n| n.index() as u32).collect();
+            nl.outputs().iter().map(|n| n.index() as u32).collect();
 
-        // Chain linking: next[g] = consumer that absorbs g's output.
-        let n_gates = netlist.gate_count();
-        let mut next: Vec<Option<GateId>> = vec![None; n_gates];
+        // Chain linking: prev[c] = producer folded into consumer c, and
+        // absorbed[g] once g's output is folded into its consumer.
+        let n_gates = nl.gate_count();
+        let mut absorbed = vec![false; n_gates];
         let mut prev: Vec<Option<GateId>> = vec![None; n_gates];
-        for &gid in netlist.comb_order() {
-            let out = netlist.gate(gid).output;
-            if netlist.fanout(out) != 1 || is_output.contains(&(out.index() as u32)) {
+        for &gid in nl.comb_order() {
+            let out = nl.gate(gid).output;
+            if nl.fanout(out) != 1 || is_output.contains(&(out.index() as u32)) {
                 continue;
             }
-            let users = netlist.comb_users(out);
+            let users = nl.comb_users(out);
             if users.len() != 1 {
                 // The single pin connection is a DFF `d` input.
                 continue;
@@ -182,37 +204,27 @@ impl<'a> CompiledTape<'a> {
             // first one (in topological order) wins and the rest stay
             // chain terminals of their own entries.
             if prev[user.index()].is_none() {
-                next[gid.index()] = Some(user);
+                absorbed[gid.index()] = true;
                 prev[user.index()] = Some(gid);
             }
         }
 
-        let mut tape = CompiledTape {
-            netlist,
+        // Every combinational gate becomes exactly one micro-op and one
+        // chain-gate record, so those arrays are sized exactly up front;
+        // the tape is long-lived (one per fault target, shared by every
+        // mount), so no array keeps spare capacity.
+        let comb_gates = nl.comb_order().len();
+        let mut builder = TapeBuilder {
+            netlist: nl,
             entries: Vec::new(),
-            mops: Vec::new(),
+            mops: Vec::with_capacity(comb_gates),
             pool: Vec::new(),
-            chain_gates: Vec::new(),
+            chain_gates: Vec::with_capacity(comb_gates),
             entry_of_gate: vec![u32::MAX; n_gates],
-            input_nets: netlist.inputs().iter().map(|n| n.index() as u32).collect(),
-            dff_nets: netlist
-                .dff_gates()
-                .iter()
-                .map(|&gid| {
-                    let gate = netlist.gate(gid);
-                    (
-                        gate.output.index() as u32,
-                        gate.inputs[0].index() as u32,
-                        gid.index() as u32,
-                    )
-                })
-                .collect(),
-            comb_gate_count: netlist.comb_order().len() as u64,
         };
-
         // Emit one entry per chain, at the tape position of its final gate.
-        for &fin in netlist.comb_order() {
-            if next[fin.index()].is_some() {
+        for &fin in nl.comb_order() {
+            if absorbed[fin.index()] {
                 continue; // absorbed into a later gate's entry
             }
             let mut chain = vec![fin];
@@ -222,11 +234,73 @@ impl<'a> CompiledTape<'a> {
                 cur = p;
             }
             chain.reverse();
-            tape.push_entry(&chain);
+            builder.push_entry(&chain);
         }
-        tape
+
+        let input_nets = nl.inputs().iter().map(|n| n.index() as u32).collect();
+        let dff_nets = nl
+            .dff_gates()
+            .iter()
+            .map(|&gid| {
+                let gate = nl.gate(gid);
+                (
+                    gate.output.index() as u32,
+                    gate.inputs[0].index() as u32,
+                    gid.index() as u32,
+                )
+            })
+            .collect();
+        let comb_gate_count = comb_gates as u64;
+        let TapeBuilder {
+            mut entries,
+            mops,
+            mut pool,
+            chain_gates,
+            entry_of_gate,
+            ..
+        } = builder;
+        entries.shrink_to_fit();
+        pool.shrink_to_fit();
+        CompiledTape {
+            netlist,
+            entries,
+            mops,
+            pool,
+            chain_gates,
+            entry_of_gate,
+            input_nets,
+            dff_nets,
+            comb_gate_count,
+        }
     }
 
+    /// The netlist this tape was compiled from.
+    pub fn netlist(&self) -> &Netlist {
+        self.netlist.as_ref()
+    }
+
+    /// Number of tape entries (evaluation steps per cycle).
+    pub fn tape_len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Number of gates folded into a predecessor's entry — the difference
+    /// between the combinational gate count and [`CompiledTape::tape_len`].
+    pub fn chains_collapsed(&self) -> usize {
+        self.comb_gate_count as usize - self.entries.len()
+    }
+
+    /// The tape entry whose chain evaluates `net`'s value, when that value
+    /// is *interior* to a collapsed chain (invisible to the fast path);
+    /// `None` for primary inputs, flip-flop outputs and entry outputs.
+    fn interior_entry(&self, net: NetId) -> Option<usize> {
+        let gid = self.netlist().driver(net)?;
+        let e = self.entry_of_gate[gid.index()];
+        (e != u32::MAX && self.entries[e as usize].out != net.index() as u32).then_some(e as usize)
+    }
+}
+
+impl TapeBuilder<'_> {
     /// Builds the micro-op sequence for one chain and records the entry.
     fn push_entry(&mut self, chain: &[GateId]) {
         let entry_index = self.entries.len() as u32;
@@ -355,22 +429,6 @@ impl<'a> CompiledTape<'a> {
         self.pool.extend(items);
         (off, self.pool.len() as u32 - off)
     }
-
-    /// The netlist this tape was compiled from.
-    pub fn netlist(&self) -> &'a Netlist {
-        self.netlist
-    }
-
-    /// Number of tape entries (evaluation steps per cycle).
-    pub fn tape_len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of gates folded into a predecessor's entry — the difference
-    /// between the combinational gate count and [`CompiledTape::tape_len`].
-    pub fn chains_collapsed(&self) -> usize {
-        self.comb_gate_count as usize - self.entries.len()
-    }
 }
 
 /// A wide stuck-at injection mask: lanes forced to 0 / forced to 1.
@@ -429,78 +487,146 @@ impl<const W: usize> Default for TransitionState<W> {
     }
 }
 
-/// A `W`-word-wide (64·W lanes) cycle-based simulator replaying a
-/// [`CompiledTape`].
-///
-/// Semantics mirror [`crate::Simulator`]: `set_input` → [`eval`] →
-/// read values → [`step`] to latch flip-flops, with per-lane stuck-at
-/// injection via [`inject_fault`]. Every lane of every word behaves as an
-/// independent single-bit machine.
-///
-/// [`eval`]: TapeSimulator::eval
-/// [`step`]: TapeSimulator::step
-/// [`inject_fault`]: TapeSimulator::inject_fault
+/// Dense side table over one kind of site (nets or gates): `slot[i]` is 0
+/// for a site carrying nothing, else 1 + the position of the site's item
+/// in `items`. A lookup is one index and one branch — no hashing on the
+/// evaluation hot path. The slot array is allocated on first insertion,
+/// so a table nothing is injected into costs no memory.
 #[derive(Debug)]
-pub struct TapeSimulator<'t, 'a, const W: usize> {
-    tape: &'t CompiledTape<'a>,
+struct SiteTable<T> {
+    sites: usize,
+    slot: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Default> SiteTable<T> {
+    fn new(sites: usize) -> Self {
+        SiteTable {
+            sites,
+            slot: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+
+    #[inline(always)]
+    fn get(&self, site: usize) -> Option<&T> {
+        match self.slot.get(site) {
+            None | Some(0) => None,
+            Some(&k) => Some(&self.items[k as usize - 1]),
+        }
+    }
+
+    #[inline(always)]
+    fn get_mut(&mut self, site: usize) -> Option<&mut T> {
+        match self.slot.get(site) {
+            None | Some(0) => None,
+            Some(&k) => Some(&mut self.items[k as usize - 1]),
+        }
+    }
+
+    /// The item at `site`, created on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` is outside the table.
+    fn entry(&mut self, site: usize) -> &mut T {
+        assert!(
+            site < self.sites,
+            "site {site} outside a table of {}",
+            self.sites
+        );
+        if self.slot.is_empty() {
+            self.slot = vec![0; self.sites];
+        }
+        if self.slot[site] == 0 {
+            self.items.push(T::default());
+            self.slot[site] = self.items.len() as u32;
+        }
+        let k = self.slot[site] as usize - 1;
+        &mut self.items[k]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.slot.fill(0);
+        self.items.clear();
+    }
+}
+
+/// The mutable half of a tape simulation: net values, inputs, flip-flop
+/// state and injected faults, `W` 64-bit lane words wide.
+///
+/// A `TapeState` owns no tape; every call that evaluates or injects takes
+/// the [`CompiledTape`] it was created for. That lets one immutable tape
+/// (behind an `Arc`, say) drive many independently owned states — one per
+/// mounted fault — while [`TapeSimulator`] bundles a state with a borrowed
+/// tape for the common case.
+///
+/// Driving a state with a tape other than the one it was created from
+/// panics or gives meaningless values.
+#[derive(Debug)]
+pub struct TapeState<const W: usize> {
     /// SoA net values: net `n`'s lane words at `values[n*W .. n*W+W]`.
     values: Vec<u64>,
     /// Broadcast primary-input words, parallel to the input list.
     input_words: Vec<u64>,
-    /// DFF state, parallel to `tape.dff_nets`.
+    /// DFF state, parallel to the tape's flip-flop list.
     state: Vec<[u64; W]>,
-    /// Nets carrying a stem fault (fast membership test on the hot path).
-    stem_flagged: Vec<bool>,
-    stem_masks: HashMap<u32, WideMask<W>>,
+    /// Stuck-at masks on net stems (primary inputs, flip-flop outputs and
+    /// gate outputs alike).
+    stems: SiteTable<WideMask<W>>,
     /// Entries needing gate-by-gate evaluation (chain-interior faults or
     /// pin faults).
     expanded: Vec<bool>,
-    pin_masks: HashMap<(u32, u8), WideMask<W>>,
-    /// DFF indices with a faulty `d` pin.
-    dff_pin_masks: HashMap<u32, WideMask<W>>,
-    /// Nets carrying a transition fault (fast membership on the hot path).
-    transition_flagged: Vec<bool>,
-    transition_states: HashMap<u32, TransitionState<W>>,
+    /// Stuck-at masks on combinational gate input pins, per gate.
+    pins: SiteTable<Vec<(u8, WideMask<W>)>>,
+    /// Stuck-at masks on flip-flop `d` pins, per gate.
+    dff_pins: SiteTable<WideMask<W>>,
+    /// Transition-delay state, per net.
+    transitions: SiteTable<TransitionState<W>>,
     /// False until the first eval records arming state.
     transition_primed: bool,
+    /// Reused operand buffer of the expanded slow path.
+    scratch: Vec<[u64; W]>,
     events: u64,
 }
 
-impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
-    /// Creates a simulator over `tape` with all inputs low, flip-flops
-    /// reset and no faults injected.
-    pub fn new(tape: &'t CompiledTape<'a>) -> Self {
+impl<const W: usize> TapeState<W> {
+    /// A state for `tape` with all inputs low, flip-flops reset and no
+    /// faults injected.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= W <= MAX_LANE_WORDS`.
+    pub fn new<N: AsRef<Netlist>>(tape: &CompiledTape<N>) -> Self {
         assert!(
             W >= 1 && W <= MAX_LANE_WORDS,
             "lane width {W} outside 1..={MAX_LANE_WORDS}"
         );
-        TapeSimulator {
-            tape,
-            values: vec![0; tape.netlist.net_count() * W],
+        let nets = tape.netlist().net_count();
+        TapeState {
+            values: vec![0; nets * W],
             input_words: vec![0; tape.input_nets.len()],
             state: vec![[0; W]; tape.dff_nets.len()],
-            stem_flagged: vec![false; tape.netlist.net_count()],
-            stem_masks: HashMap::new(),
+            stems: SiteTable::new(nets),
             expanded: vec![false; tape.entries.len()],
-            pin_masks: HashMap::new(),
-            dff_pin_masks: HashMap::new(),
-            transition_flagged: vec![false; tape.netlist.net_count()],
-            transition_states: HashMap::new(),
+            pins: SiteTable::new(tape.entry_of_gate.len()),
+            dff_pins: SiteTable::new(tape.entry_of_gate.len()),
+            transitions: SiteTable::new(nets),
             transition_primed: false,
+            scratch: Vec::new(),
             events: 0,
         }
     }
 
-    /// Number of lanes (`64 × W`).
-    pub fn lanes(&self) -> usize {
-        64 * W
-    }
-
     /// Resets all flip-flops to 0 and disarms transition faults (inputs
     /// and injections are kept).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.state.fill([0; W]);
-        for st in self.transition_states.values_mut() {
+        for st in &mut self.transitions.items {
             st.prev = [0; W];
             st.seen = false;
         }
@@ -508,14 +634,12 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
     }
 
     /// Removes all injected faults.
-    pub fn clear_faults(&mut self) {
-        self.stem_flagged.fill(false);
-        self.stem_masks.clear();
+    pub(crate) fn clear_faults(&mut self) {
+        self.stems.clear();
         self.expanded.fill(false);
-        self.pin_masks.clear();
-        self.dff_pin_masks.clear();
-        self.transition_flagged.fill(false);
-        self.transition_states.clear();
+        self.pins.clear();
+        self.dff_pins.clear();
+        self.transitions.clear();
         self.transition_primed = false;
     }
 
@@ -523,42 +647,55 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
     /// conventionally kept fault-free by callers wanting a reference
     /// machine.
     ///
+    /// A site the netlist does not have — a net or gate index beyond its
+    /// tables, or a pin beyond the gate's inputs — is ignored, exactly as
+    /// [`crate::Simulator::inject_fault`] ignores it (it never matches).
+    ///
     /// # Panics
     ///
     /// Panics if `lane >= 64 * W`.
-    pub fn inject_fault(&mut self, fault: &Fault, lane: usize) {
+    pub fn inject_fault<N: AsRef<Netlist>>(
+        &mut self,
+        tape: &CompiledTape<N>,
+        fault: &Fault,
+        lane: usize,
+    ) {
         assert!(lane < 64 * W, "lane {lane} out of range for W={W}");
+        let nl = tape.netlist();
         match fault.site {
             FaultSite::Stem(net) => {
-                let ni = net.index() as u32;
-                self.stem_flagged[net.index()] = true;
-                self.stem_masks
-                    .entry(ni)
-                    .or_default()
-                    .add(lane, fault.stuck_value);
+                if net.index() >= nl.net_count() {
+                    return;
+                }
+                self.stems.entry(net.index()).add(lane, fault.stuck_value);
                 // A stem inside a collapsed chain is invisible to the fast
                 // path; expand the owning entry.
-                if let Some(gid) = self.tape.netlist.driver(net) {
-                    if self.tape.netlist.gate(gid).kind != GateKind::Dff {
-                        let e = self.tape.entry_of_gate[gid.index()] as usize;
-                        if self.tape.entries[e].out != ni {
-                            self.expanded[e] = true;
-                        }
-                    }
+                if let Some(e) = tape.interior_entry(net) {
+                    self.expanded[e] = true;
                 }
             }
             FaultSite::Pin { gate, pin } => {
-                if self.tape.netlist.gate(gate).kind == GateKind::Dff {
-                    self.dff_pin_masks
-                        .entry(gate.index() as u32)
-                        .or_default()
+                let Some(g) = nl.gates().get(gate.index()) else {
+                    return;
+                };
+                if usize::from(pin) >= g.inputs.len() {
+                    return;
+                }
+                if g.kind == GateKind::Dff {
+                    self.dff_pins
+                        .entry(gate.index())
                         .add(lane, fault.stuck_value);
                 } else {
-                    self.pin_masks
-                        .entry((gate.index() as u32, pin))
-                        .or_default()
-                        .add(lane, fault.stuck_value);
-                    self.expanded[self.tape.entry_of_gate[gate.index()] as usize] = true;
+                    let masks = self.pins.entry(gate.index());
+                    let k = masks
+                        .iter()
+                        .position(|&(p, _)| p == pin)
+                        .unwrap_or_else(|| {
+                            masks.push((pin, WideMask::default()));
+                            masks.len() - 1
+                        });
+                    masks[k].1.add(lane, fault.stuck_value);
+                    self.expanded[tape.entry_of_gate[gate.index()] as usize] = true;
                 }
             }
         }
@@ -570,12 +707,15 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= 64 * W`.
-    pub fn inject_transition_fault(&mut self, fault: &TransitionFault, lane: usize) {
+    /// Panics if `lane >= 64 * W` or the fault's net is not in the netlist.
+    pub(crate) fn inject_transition_fault<N: AsRef<Netlist>>(
+        &mut self,
+        tape: &CompiledTape<N>,
+        fault: &TransitionFault,
+        lane: usize,
+    ) {
         assert!(lane < 64 * W, "lane {lane} out of range for W={W}");
-        let ni = fault.net.index() as u32;
-        self.transition_flagged[fault.net.index()] = true;
-        let st = self.transition_states.entry(ni).or_default();
+        let st = self.transitions.entry(fault.net.index());
         let target = if fault.slow_to_rise {
             &mut st.rise
         } else {
@@ -585,26 +725,20 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
         // A transition site inside a collapsed chain is invisible to the
         // fast path; expand the owning entry so the interior value is
         // materialized, armed and forced gate by gate.
-        if let Some(gid) = self.tape.netlist.driver(fault.net) {
-            if self.tape.netlist.gate(gid).kind != GateKind::Dff {
-                let e = self.tape.entry_of_gate[gid.index()] as usize;
-                if self.tape.entries[e].out != ni {
-                    self.expanded[e] = true;
-                }
-            }
+        if let Some(e) = tape.interior_entry(fault.net) {
+            self.expanded[e] = true;
         }
     }
 
     /// Applies transition-delay forcing to a freshly computed value of net
-    /// `ni`, updating the arming state with the computed value. Caller
-    /// checks `transition_flagged` first.
+    /// `ni`, updating the arming state with the computed value. A net
+    /// without transition faults passes through untouched.
     #[inline]
     fn apply_transition(&mut self, ni: u32, v: &mut [u64; W]) {
         let primed = self.transition_primed;
-        let st = self
-            .transition_states
-            .get_mut(&ni)
-            .expect("flagged net has transition state");
+        let Some(st) = self.transitions.get_mut(ni as usize) else {
+            return;
+        };
         let prev = st.prev;
         let had_prev = st.seen;
         st.prev = *v;
@@ -620,23 +754,8 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
         }
     }
 
-    /// Drives a primary input with the same logic value in every lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` is not a primary input of the netlist.
-    pub fn set_input(&mut self, net: NetId, value: bool) {
-        let pos = self
-            .tape
-            .netlist
-            .input_position(net)
-            .expect("set_input target must be a primary input");
-        self.set_input_at(pos, value);
-    }
-
-    /// [`TapeSimulator::set_input`] by position in [`Netlist::inputs`] —
-    /// the fault simulator's hot loop applies whole patterns positionally,
-    /// skipping the net-to-position lookup.
+    /// Drives the primary input at position `pos` of [`Netlist::inputs`]
+    /// with the same logic value in every lane.
     ///
     /// # Panics
     ///
@@ -661,9 +780,9 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
     }
 
     #[inline(always)]
-    fn pool_fold(&self, off: u32, len: u32, and: bool) -> [u64; W] {
+    fn pool_fold(&self, pool: &[u32], off: u32, len: u32, and: bool) -> [u64; W] {
         let mut acc = if and { [!0u64; W] } else { [0u64; W] };
-        for &idx in &self.tape.pool[off as usize..(off + len) as usize] {
+        for &idx in &pool[off as usize..(off + len) as usize] {
             let v = self.load(idx);
             for w in 0..W {
                 if and {
@@ -676,53 +795,49 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
         acc
     }
 
-    /// Propagates values through the combinational tape.
-    ///
-    /// Flip-flop outputs present their current state; call
-    /// [`TapeSimulator::step`] afterwards to latch the next state.
-    pub fn eval(&mut self) {
-        let transitions = !self.transition_states.is_empty();
+    /// Propagates values through the combinational tape. Flip-flop
+    /// outputs present their latched state (reset, unless the state was
+    /// stepped).
+    pub fn eval<N: AsRef<Netlist>>(&mut self, tape: &CompiledTape<N>) {
+        let transitions = !self.transitions.is_empty();
         // Load primary inputs (stem faults on PIs apply here).
-        for pos in 0..self.tape.input_nets.len() {
-            let ni = self.tape.input_nets[pos];
+        for (pos, &ni) in tape.input_nets.iter().enumerate() {
             let mut v = [self.input_words[pos]; W];
-            if self.stem_flagged[ni as usize] {
-                self.stem_masks[&ni].apply(&mut v);
+            if let Some(m) = self.stems.get(ni as usize) {
+                m.apply(&mut v);
             }
-            if transitions && self.transition_flagged[ni as usize] {
+            if transitions {
                 self.apply_transition(ni, &mut v);
             }
             self.store(ni, v);
         }
         // Present DFF state on Q nets (stem faults on Q apply here).
-        for k in 0..self.tape.dff_nets.len() {
-            let (q, _, _) = self.tape.dff_nets[k];
+        for (k, &(q, _, _)) in tape.dff_nets.iter().enumerate() {
             let mut v = self.state[k];
-            if self.stem_flagged[q as usize] {
-                self.stem_masks[&q].apply(&mut v);
+            if let Some(m) = self.stems.get(q as usize) {
+                m.apply(&mut v);
             }
-            if transitions && self.transition_flagged[q as usize] {
+            if transitions {
                 self.apply_transition(q, &mut v);
             }
             self.store(q, v);
         }
         // Replay the tape.
-        for e in 0..self.tape.entries.len() {
-            let entry = self.tape.entries[e];
+        for (e, entry) in tape.entries.iter().enumerate() {
             if self.expanded[e] {
-                self.eval_expanded(entry);
+                self.eval_expanded(tape, entry);
                 continue;
             }
-            let mops = &self.tape.mops
+            let mops = &tape.mops
                 [entry.mop_start as usize..entry.mop_start as usize + entry.mop_len as usize];
             let mut acc = [0u64; W];
             for &mop in mops {
-                acc = self.apply_mop(mop, acc);
+                acc = self.apply_mop(&tape.pool, mop, acc);
             }
-            if self.stem_flagged[entry.out as usize] {
-                self.stem_masks[&entry.out].apply(&mut acc);
+            if let Some(m) = self.stems.get(entry.out as usize) {
+                m.apply(&mut acc);
             }
-            if transitions && self.transition_flagged[entry.out as usize] {
+            if transitions {
                 self.apply_transition(entry.out, &mut acc);
             }
             self.store(entry.out, acc);
@@ -730,11 +845,11 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
         if transitions {
             self.transition_primed = true;
         }
-        self.events += self.tape.comb_gate_count;
+        self.events += tape.comb_gate_count;
     }
 
     #[inline(always)]
-    fn apply_mop(&self, mop: MicroOp, acc: [u64; W]) -> [u64; W] {
+    fn apply_mop(&self, pool: &[u32], mop: MicroOp, acc: [u64; W]) -> [u64; W] {
         let mut out = [0u64; W];
         match mop {
             MicroOp::Const0 => {}
@@ -788,16 +903,16 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
                     out[w] = (va[w] & !vs[w]) | (vb[w] & vs[w]);
                 }
             }
-            MicroOp::AndN { off, len } => out = self.pool_fold(off, len, true),
-            MicroOp::OrN { off, len } => out = self.pool_fold(off, len, false),
+            MicroOp::AndN { off, len } => out = self.pool_fold(pool, off, len, true),
+            MicroOp::OrN { off, len } => out = self.pool_fold(pool, off, len, false),
             MicroOp::NandN { off, len } => {
-                out = self.pool_fold(off, len, true);
+                out = self.pool_fold(pool, off, len, true);
                 for w in out.iter_mut() {
                     *w = !*w;
                 }
             }
             MicroOp::NorN { off, len } => {
-                out = self.pool_fold(off, len, false);
+                out = self.pool_fold(pool, off, len, false);
                 for w in out.iter_mut() {
                     *w = !*w;
                 }
@@ -845,25 +960,25 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
                 }
             }
             MicroOp::CAndN { off, len } => {
-                out = self.pool_fold(off, len, true);
+                out = self.pool_fold(pool, off, len, true);
                 for w in 0..W {
                     out[w] &= acc[w];
                 }
             }
             MicroOp::COrN { off, len } => {
-                out = self.pool_fold(off, len, false);
+                out = self.pool_fold(pool, off, len, false);
                 for w in 0..W {
                     out[w] |= acc[w];
                 }
             }
             MicroOp::CNandN { off, len } => {
-                out = self.pool_fold(off, len, true);
+                out = self.pool_fold(pool, off, len, true);
                 for w in 0..W {
                     out[w] = !(out[w] & acc[w]);
                 }
             }
             MicroOp::CNorN { off, len } => {
-                out = self.pool_fold(off, len, false);
+                out = self.pool_fold(pool, off, len, false);
                 for w in 0..W {
                     out[w] = !(out[w] | acc[w]);
                 }
@@ -894,48 +1009,46 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
     /// faults: evaluate the chain gate by gate, applying every injection
     /// exactly where [`crate::Simulator`] would, writing interior values
     /// into the value store (nothing outside the chain reads them).
-    fn eval_expanded(&mut self, entry: TapeEntry) {
-        let gates = &self.tape.chain_gates
+    fn eval_expanded<N: AsRef<Netlist>>(&mut self, tape: &CompiledTape<N>, entry: &TapeEntry) {
+        let nl = tape.netlist();
+        let gates = &tape.chain_gates
             [entry.gate_start as usize..entry.gate_start as usize + entry.gate_len as usize];
-        let mut in_buf: Vec<[u64; W]> = Vec::with_capacity(4);
+        let mut in_buf = std::mem::take(&mut self.scratch);
         for &gid in gates {
-            let gate = self.tape.netlist.gate(gid);
+            let gate = nl.gate(gid);
             in_buf.clear();
-            for (pin, &inp) in gate.inputs.iter().enumerate() {
-                let mut v = self.load(inp.index() as u32);
-                if let Some(m) = self.pin_masks.get(&(gid.index() as u32, pin as u8)) {
-                    m.apply(&mut v);
+            in_buf.extend(gate.inputs.iter().map(|inp| self.load(inp.index() as u32)));
+            if let Some(masks) = self.pins.get(gid.index()) {
+                for (pin, m) in masks {
+                    m.apply(&mut in_buf[usize::from(*pin)]);
                 }
-                in_buf.push(v);
             }
             let mut out = eval_kind_wide(gate.kind, &in_buf);
             let oi = gate.output.index() as u32;
-            if self.stem_flagged[oi as usize] {
-                self.stem_masks[&oi].apply(&mut out);
+            if let Some(m) = self.stems.get(oi as usize) {
+                m.apply(&mut out);
             }
-            if self.transition_flagged[oi as usize] {
-                self.apply_transition(oi, &mut out);
-            }
+            self.apply_transition(oi, &mut out);
             self.store(oi, out);
         }
+        self.scratch = in_buf;
     }
 
     /// Latches flip-flop next-state (the value on each DFF's `d` pin,
     /// after any injected `d`-pin fault).
     ///
-    /// Must be called after [`TapeSimulator::eval`] for the cycle.
-    pub fn step(&mut self) {
-        for k in 0..self.tape.dff_nets.len() {
-            let (_, d, gidx) = self.tape.dff_nets[k];
+    /// Must be called after [`TapeState::eval`] for the cycle.
+    pub(crate) fn step<N: AsRef<Netlist>>(&mut self, tape: &CompiledTape<N>) {
+        for (k, &(_, d, gate)) in tape.dff_nets.iter().enumerate() {
             let mut v = self.load(d);
-            if let Some(m) = self.dff_pin_masks.get(&gidx) {
+            if let Some(m) = self.dff_pins.get(gate as usize) {
                 m.apply(&mut v);
             }
             self.state[k] = v;
         }
     }
 
-    /// Current lane words on `net` (valid after [`TapeSimulator::eval`]).
+    /// Current lane words on `net` (valid after [`TapeState::eval`]).
     ///
     /// Note: nets interior to a collapsed chain carry stale values unless
     /// the owning entry was expanded by a fault — by construction they are
@@ -948,8 +1061,125 @@ impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
     /// Gate-evaluation events performed so far: each tape replay counts
     /// every source gate (collapsed or not) once, so the compiled engine's
     /// event count equals the full-eval baseline of `cycles × gates`.
-    pub fn events(&self) -> u64 {
+    pub(crate) fn events(&self) -> u64 {
         self.events
+    }
+}
+
+/// A `W`-word-wide (64·W lanes) cycle-based simulator replaying a
+/// borrowed [`CompiledTape`]: a [`TapeState`] bundled with its tape.
+///
+/// Semantics mirror [`crate::Simulator`]: `set_input` → [`eval`] →
+/// read values → [`step`] to latch flip-flops, with per-lane stuck-at
+/// injection via [`inject_fault`]. Every lane of every word behaves as an
+/// independent single-bit machine.
+///
+/// [`eval`]: TapeSimulator::eval
+/// [`step`]: TapeSimulator::step
+/// [`inject_fault`]: TapeSimulator::inject_fault
+#[derive(Debug)]
+pub struct TapeSimulator<'t, 'a, const W: usize> {
+    tape: &'t CompiledTape<&'a Netlist>,
+    state: TapeState<W>,
+}
+
+impl<'t, 'a, const W: usize> TapeSimulator<'t, 'a, W> {
+    /// Creates a simulator over `tape` with all inputs low, flip-flops
+    /// reset and no faults injected.
+    pub fn new(tape: &'t CompiledTape<&'a Netlist>) -> Self {
+        TapeSimulator {
+            tape,
+            state: TapeState::new(tape),
+        }
+    }
+
+    /// Number of lanes (`64 × W`).
+    pub fn lanes(&self) -> usize {
+        64 * W
+    }
+
+    /// Resets all flip-flops to 0 and disarms transition faults (inputs
+    /// and injections are kept).
+    pub fn reset(&mut self) {
+        self.state.reset();
+    }
+
+    /// Removes all injected faults.
+    pub fn clear_faults(&mut self) {
+        self.state.clear_faults();
+    }
+
+    /// Injects `fault` into lane `lane` — see [`TapeState::inject_fault`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= 64 * W`.
+    pub fn inject_fault(&mut self, fault: &Fault, lane: usize) {
+        self.state.inject_fault(self.tape, fault, lane);
+    }
+
+    /// Injects a gross transition-delay fault into lane `lane` — same
+    /// semantics as
+    /// [`Simulator::inject_transition_fault`](crate::Simulator::inject_transition_fault).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= 64 * W`.
+    pub fn inject_transition_fault(&mut self, fault: &TransitionFault, lane: usize) {
+        self.state.inject_transition_fault(self.tape, fault, lane);
+    }
+
+    /// Drives a primary input with the same logic value in every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not a primary input of the netlist.
+    pub fn set_input(&mut self, net: NetId, value: bool) {
+        let pos = self
+            .tape
+            .netlist()
+            .input_position(net)
+            .expect("set_input target must be a primary input");
+        self.state.set_input_at(pos, value);
+    }
+
+    /// [`TapeSimulator::set_input`] by position in [`Netlist::inputs`] —
+    /// the fault simulator's hot loop applies whole patterns positionally,
+    /// skipping the net-to-position lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range.
+    pub fn set_input_at(&mut self, pos: usize, value: bool) {
+        self.state.set_input_at(pos, value);
+    }
+
+    /// Propagates values through the combinational tape.
+    ///
+    /// Flip-flop outputs present their current state; call
+    /// [`TapeSimulator::step`] afterwards to latch the next state.
+    pub fn eval(&mut self) {
+        self.state.eval(self.tape);
+    }
+
+    /// Latches flip-flop next-state (the value on each DFF's `d` pin,
+    /// after any injected `d`-pin fault).
+    ///
+    /// Must be called after [`TapeSimulator::eval`] for the cycle.
+    pub fn step(&mut self) {
+        self.state.step(self.tape);
+    }
+
+    /// Current lane words on `net` — see [`TapeState::value`].
+    pub fn value(&self, net: NetId) -> [u64; W] {
+        self.state.value(net)
+    }
+
+    /// Gate-evaluation events performed so far: each tape replay counts
+    /// every source gate (collapsed or not) once, so the compiled engine's
+    /// event count equals the full-eval baseline of `cycles × gates`.
+    pub fn events(&self) -> u64 {
+        self.state.events()
     }
 }
 
@@ -1281,6 +1511,100 @@ mod tests {
         sim.reset();
         sim.eval(); // disarmed: no lane forced
         assert_eq!(sim.value(n.inputs()[0])[3], 0);
+    }
+
+    #[test]
+    fn sites_outside_the_netlist_are_ignored_like_simulator() {
+        // Fault sites from a different (larger) netlist: the Simulator
+        // never matches them, so the tape must not panic or act on them.
+        let n = chain_netlist();
+        let tape = CompiledTape::compile(&n);
+        let and_gate = n
+            .gates()
+            .iter()
+            .position(|g| g.kind == GateKind::And)
+            .map(GateId::from_index)
+            .unwrap();
+        let faults = [
+            Fault::stem_sa1(NetId::from_index(n.net_count())),
+            Fault::stem_sa0(NetId::from_index(n.net_count() + 1000)),
+            Fault {
+                site: FaultSite::Pin {
+                    gate: GateId::from_index(n.gate_count() + 7),
+                    pin: 0,
+                },
+                stuck_value: true,
+            },
+            Fault {
+                site: FaultSite::Pin {
+                    gate: and_gate,
+                    pin: 5,
+                },
+                stuck_value: true,
+            },
+        ];
+        for fault in &faults {
+            for pattern in 0..8u32 {
+                let mut plain = Simulator::new(&n);
+                let mut fast: TapeSimulator<'_, '_, 1> = TapeSimulator::new(&tape);
+                plain.inject_fault(fault, 1);
+                fast.inject_fault(fault, 0);
+                let mut good: TapeSimulator<'_, '_, 1> = TapeSimulator::new(&tape);
+                for (k, &inp) in n.inputs().iter().enumerate() {
+                    let bit = pattern >> k & 1 == 1;
+                    plain.set_input(inp, bit);
+                    fast.set_input(inp, bit);
+                    good.set_input(inp, bit);
+                }
+                plain.eval();
+                fast.eval();
+                good.eval();
+                for &o in n.outputs() {
+                    assert_eq!(plain.value(o) & 1, fast.value(o)[0] & 1, "{fault:?}");
+                    assert_eq!(good.value(o), fast.value(o), "{fault:?} changed {o}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn owned_states_share_one_arc_held_tape() {
+        // The tape owns its netlist and lives behind an Arc; each state is
+        // injected once and driven many times, like a mounted fault.
+        let n = chain_netlist();
+        let tape = std::sync::Arc::new(CompiledTape::compile(n.clone()));
+        let pin_fault = Fault {
+            site: FaultSite::Pin {
+                gate: n.driver(n.outputs()[0]).unwrap(),
+                pin: 1,
+            },
+            stuck_value: true,
+        };
+        let faults = [Fault::stem_sa0(n.outputs()[1]), pin_fault];
+        let mut states: Vec<TapeState<1>> = faults
+            .iter()
+            .map(|f| {
+                let mut st = TapeState::new(&*tape);
+                st.inject_fault(&tape, f, 0);
+                st
+            })
+            .collect();
+        for pattern in [5u32, 0, 7, 2, 6, 1, 3, 4] {
+            for (fault, st) in faults.iter().zip(&mut states) {
+                let mut plain = Simulator::new(&n);
+                plain.inject_fault(fault, 1);
+                for (k, &inp) in n.inputs().iter().enumerate() {
+                    let bit = pattern >> k & 1 == 1;
+                    plain.set_input(inp, bit);
+                    st.set_input_at(k, bit);
+                }
+                plain.eval();
+                st.eval(&tape);
+                for &o in n.outputs() {
+                    assert_eq!(plain.value(o) & 1, st.value(o)[0] & 1, "pattern {pattern}");
+                }
+            }
+        }
     }
 
     #[test]
