@@ -25,8 +25,9 @@ cargo test --workspace -q
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== table1 smoke run, event-driven engine, 2 threads (default; JSON report) =="
-rm -f BENCH_table1.json BENCH_table1_serial.json BENCH_table1_full.json BENCH_table1_compiled.json
+echo "== table1 smoke run, event-driven engine, 2 threads (JSON report) =="
+rm -f BENCH_table1.json BENCH_table1_serial.json BENCH_table1_full.json BENCH_table1_compiled.json \
+  BENCH_table1_compiled_serial.json
 SBST_ENGINE=event \
   cargo run --release -p sbst-bench --bin table1 -- --smoke \
   --threads "${SBST_THREADS:-2}" --json BENCH_table1.json
@@ -40,9 +41,14 @@ echo "== table1 smoke run, full-eval engine (JSON report) =="
 SBST_THREADS="${SBST_THREADS:-2}" SBST_ENGINE=full \
   cargo run --release -p sbst-bench --bin table1 -- --smoke --json BENCH_table1_full.json
 
-echo "== table1 smoke run, compiled tape engine (JSON report) =="
+echo "== table1 smoke run, compiled tape engine (default; JSON report) =="
 SBST_THREADS="${SBST_THREADS:-2}" SBST_ENGINE=compiled \
   cargo run --release -p sbst-bench --bin table1 -- --smoke --json BENCH_table1_compiled.json
+
+echo "== table1 smoke run, compiled tape engine, single-threaded (JSON report) =="
+SBST_ENGINE=compiled \
+  cargo run --release -p sbst-bench --bin table1 -- --smoke \
+  --threads 1 --json BENCH_table1_compiled_serial.json
 
 echo "== table1 delay-fault smoke runs: transition headline under all three engines =="
 # Same pipeline with --fault-model transition: the FC column flips to the
@@ -58,11 +64,11 @@ SBST_THREADS="${SBST_THREADS:-2}" SBST_ENGINE=compiled \
   cargo run --release -p sbst-bench --bin table1 -- --smoke \
   --fault-model transition --json BENCH_table1_td_compiled.json
 
-echo "== validate all seven reports =="
+echo "== validate all eight reports =="
 # jsonlint exits nonzero when a report is missing, unparseable, or
 # lacks the expected top-level fields.
 for report in BENCH_table1.json BENCH_table1_serial.json BENCH_table1_full.json \
-              BENCH_table1_compiled.json BENCH_table1_td.json \
+              BENCH_table1_compiled.json BENCH_table1_compiled_serial.json BENCH_table1_td.json \
               BENCH_table1_td_full.json BENCH_table1_td_compiled.json; do
   cargo run --release -p sbst-bench --bin jsonlint -- "$report" \
     --require tool --require schema_version --require table1 --require execution_time
@@ -138,6 +144,19 @@ if ! diff <(coverage_fields BENCH_table1_serial.json) <(coverage_fields BENCH_ta
 fi
 if ! diff <(atpg_outcome_fields BENCH_table1_serial.json) <(atpg_outcome_fields BENCH_table1.json); then
   echo "error: ATPG outcome fields diverge between the serial and threaded table1 runs" >&2
+  exit 1
+fi
+# The compiled engine's park-and-repack schedule is deterministic too: the
+# same coverage, ATPG outcomes and gate-evaluation events at 1 and 2 threads.
+for fields in coverage_fields atpg_outcome_fields; do
+  if ! diff <("$fields" BENCH_table1_compiled_serial.json) <("$fields" BENCH_table1_compiled.json); then
+    echo "error: $fields diverge between the serial and threaded compiled runs" >&2
+    exit 1
+  fi
+done
+if [ "$(jq '.table1.fault_sim.events_simulated' BENCH_table1_compiled_serial.json)" != \
+     "$(jq '.table1.fault_sim.events_simulated' BENCH_table1_compiled.json)" ]; then
+  echo "error: events_simulated diverges between the serial and threaded compiled runs" >&2
   exit 1
 fi
 

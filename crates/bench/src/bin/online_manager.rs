@@ -75,7 +75,7 @@ fn fresh_cpu() -> Cpu {
 /// `active(attempt)` says so.
 fn alu_fault_bench(cut: &Cut, active: impl Fn(u32) -> bool) -> impl FnMut(&str, u32, u64) -> Cpu {
     // Compiled once per bench; every attempt mounts on the shared tape.
-    let target = Arc::new(CompiledTarget::compile(Arc::new(cut.component.clone())));
+    let target = Arc::new(CompiledTarget::compile(Arc::clone(&cut.component)));
     let fault = Fault::stem_sa0(cut.component.ports.output("result").net(7));
     move |name: &str, attempt: u32, _now: u64| {
         let mut cpu = fresh_cpu();

@@ -93,3 +93,36 @@ fn table1_report_round_trips_through_disk() {
         .and_then(JsonValue::as_f64)
         .is_some_and(|s| s >= 0.0));
 }
+
+/// `jsonlint` fed a 200,000-deep `[[[…]]]` document (and the same line in
+/// an NDJSON stream) must exit with a diagnostic, not overflow its stack.
+#[test]
+fn jsonlint_rejects_hostile_nesting_without_crashing() {
+    let dir = std::env::temp_dir().join(format!("sbst-jsonlint-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let doc = dir.join("deep.json");
+    std::fs::write(&doc, &deep).expect("document writes");
+    let stream = dir.join("deep.ndjson");
+    std::fs::write(&stream, format!("{{\"type\":\"x\"}}\n{deep}\n")).expect("stream writes");
+
+    let lint = |args: &[&std::path::Path], ndjson: bool| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_jsonlint"));
+        cmd.args(args);
+        if ndjson {
+            cmd.arg("--ndjson");
+        }
+        cmd.output().expect("jsonlint runs")
+    };
+    let doc_run = lint(&[&doc], false);
+    let stream_run = lint(&[&stream], true);
+    std::fs::remove_dir_all(&dir).ok();
+
+    for (run, what) in [(&doc_run, "document"), (&stream_run, "stream")] {
+        // A stack overflow aborts with a signal and no exit code.
+        assert_eq!(run.status.code(), Some(1), "{what}: {:?}", run.status);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains("nest deeper"), "{what}: {stderr}");
+    }
+    assert!(String::from_utf8_lossy(&stream_run.stderr).contains("line 2"));
+}

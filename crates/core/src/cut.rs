@@ -1,5 +1,7 @@
 //! Components under test.
 
+use std::sync::Arc;
+
 use sbst_components::{
     alu, comparator, control, divider, memctrl, misc, multiplier, pipeline, regfile, shifter,
     Component, ComponentClass, ComponentKind,
@@ -11,17 +13,21 @@ use sbst_components::{
 /// Constructors mirror the paper's Table-1 inventory. Widths are
 /// parameterized so tests can run on small instances while the benchmark
 /// harness uses the full 32-bit processor.
+///
+/// The component is shared: cloning a `Cut` bumps a reference count, and a
+/// fault-mountable target compiled from it holds the same netlist rather
+/// than a copy.
 #[derive(Debug, Clone)]
 pub struct Cut {
     /// The gate-level component.
-    pub component: Component,
+    pub component: Arc<Component>,
 }
 
 impl Cut {
     /// The ALU (D-VC).
     pub fn alu(width: usize) -> Self {
         Cut {
-            component: alu::alu(width),
+            component: Arc::new(alu::alu(width)),
         }
     }
 
@@ -31,63 +37,63 @@ impl Cut {
     /// cores that have one).
     pub fn comparator(width: usize) -> Self {
         Cut {
-            component: comparator::comparator(width),
+            component: Arc::new(comparator::comparator(width)),
         }
     }
 
     /// The barrel shifter (D-VC, irregular structure).
     pub fn shifter(width: usize) -> Self {
         Cut {
-            component: shifter::shifter(width),
+            component: Arc::new(shifter::shifter(width)),
         }
     }
 
     /// The parallel array multiplier (D-VC, largest CUT).
     pub fn multiplier(width: usize) -> Self {
         Cut {
-            component: multiplier::multiplier(width),
+            component: Arc::new(multiplier::multiplier(width)),
         }
     }
 
     /// The serial restoring divider (sequential D-VC).
     pub fn divider(width: usize) -> Self {
         Cut {
-            component: divider::divider(width),
+            component: Arc::new(divider::divider(width)),
         }
     }
 
     /// The register file (D-VC).
     pub fn regfile(regs: usize, width: usize) -> Self {
         Cut {
-            component: regfile::regfile(regs, width),
+            component: Arc::new(regfile::regfile(regs, width)),
         }
     }
 
     /// The memory controller datapath (mixed D-VC / A-VC / PVC).
     pub fn memctrl() -> Self {
         Cut {
-            component: memctrl::memctrl(),
+            component: Arc::new(memctrl::memctrl()),
         }
     }
 
     /// The control decoder (PVC).
     pub fn control() -> Self {
         Cut {
-            component: control::control(),
+            component: Arc::new(control::control()),
         }
     }
 
     /// Pipeline registers and forwarding muxes (HC).
     pub fn pipeline(width: usize) -> Self {
         Cut {
-            component: pipeline::pipeline(width),
+            component: Arc::new(pipeline::pipeline(width)),
         }
     }
 
     /// The PC/branch address unit (M-VC).
     pub fn pc_unit(width: usize, offset_bits: usize) -> Self {
         Cut {
-            component: misc::pc_unit(width, offset_bits),
+            component: Arc::new(misc::pc_unit(width, offset_bits)),
         }
     }
 

@@ -307,7 +307,7 @@ pub fn arch_validate_with(
     let replay =
         FaultSimulator::with_config(&cut.component.netlist, sim).simulate(faults, &stimulus);
     // Compiled once per CUT; every sampled fault mounts on the shared tape.
-    let target = Arc::new(CompiledTarget::compile(Arc::new(cut.component.clone())));
+    let target = Arc::new(CompiledTarget::compile(Arc::clone(&cut.component)));
 
     let mut v = ArchValidation::default();
     for (i, fault) in faults.iter().enumerate() {

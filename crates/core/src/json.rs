@@ -327,16 +327,24 @@ impl fmt::Display for JsonParseError {
 
 impl Error for JsonParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so the cap bounds its stack use: hostile input such as
+/// 200,000 unclosed `[` is an error value, not a stack overflow. Every
+/// report this workspace writes nests fewer than ten levels.
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 ///
 /// # Errors
 ///
-/// Returns [`JsonParseError`] on malformed input.
+/// Returns [`JsonParseError`] on malformed input, including arrays and
+/// objects nested deeper than [`MAX_NESTING_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         at: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -491,6 +499,8 @@ impl<W: Write> NdjsonWriter<W> {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -535,11 +545,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// An array or object, one nesting level deeper.
+    fn nested(&mut self) -> Result<JsonValue, JsonParseError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.err(&format!(
+                "arrays and objects nest deeper than {MAX_NESTING_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'[') {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonParseError> {
@@ -818,6 +844,37 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_capped() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_NESTING_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+        assert_eq!(err.offset, MAX_NESTING_DEPTH);
+        // Objects count toward the same cap as arrays.
+        let objects = format!(
+            "{}null{}",
+            "{\"k\":".repeat(MAX_NESTING_DEPTH + 1),
+            "}".repeat(MAX_NESTING_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Depth is per path, not cumulative: many siblings are fine.
+        let wide = format!("[{}]", vec![nest(MAX_NESTING_DEPTH - 1); 50].join(","));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn hostile_deep_input_is_an_error_not_a_stack_overflow() {
+        // 200k unclosed brackets overflowed the recursive parser's stack.
+        let deep = "[".repeat(200_000);
+        assert!(parse(&deep).is_err());
+        let closed = format!("{deep}{}", "]".repeat(200_000));
+        assert!(parse(&closed).is_err());
+        let stream = format!("{{\"ok\":1}}\n{closed}\n");
+        let err = parse_ndjson(&stream).unwrap_err();
+        assert_eq!(err.line, 2);
     }
 
     #[test]

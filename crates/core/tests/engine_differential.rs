@@ -217,3 +217,40 @@ fn trace_grading_agrees_per_component() {
     );
     assert!(stats_compiled.tape_len > 0);
 }
+
+/// Grading the 32-bit multiplier on the compiled engine parks surviving
+/// faults at checkpoints and repacks them: at least one repacked pass,
+/// fewer batch-cycles than every initial batch running the whole
+/// stimulus, and the same schedule at one and two threads.
+#[test]
+fn multiplier_grading_repacks_survivors() {
+    let cut = Cut::multiplier(32);
+    let routine = RoutineSpec::recommended(&cut).build(&cut).unwrap();
+    let (_, trace, _) = sbst_core::grade::execute_routine(&routine).unwrap();
+    let stimulus_len = sbst_core::grade::stimulus_for(&cut, &trace).len() as u64;
+    let grade = |threads| {
+        grade_trace_detailed(
+            &cut,
+            &trace,
+            FaultSimConfig {
+                engine: SimEngine::Compiled,
+                threads: Some(threads),
+                ..FaultSimConfig::default()
+            },
+        )
+    };
+    let (coverage, stats) = grade(1);
+    assert!(stats.repacked_passes >= 1, "{stats:?}");
+    assert_eq!(stats.cycles_scheduled, stats.batches * stimulus_len);
+    assert!(
+        stats.cycles_simulated < stats.cycles_scheduled,
+        "{} batch-cycles simulated of {} scheduled",
+        stats.cycles_simulated,
+        stats.cycles_scheduled
+    );
+    let (coverage_2, stats_2) = grade(2);
+    assert_eq!(coverage, coverage_2);
+    assert_eq!(stats.cycles_simulated, stats_2.cycles_simulated);
+    assert_eq!(stats.events_simulated, stats_2.events_simulated);
+    assert_eq!(stats.repacked_passes, stats_2.repacked_passes);
+}

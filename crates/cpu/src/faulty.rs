@@ -264,19 +264,16 @@ pub struct ArchFault {
 }
 
 impl ArchFault {
-    /// Mounts `fault` inside `component` as a permanent fault, compiling
-    /// the component for this one mount. To mount many faults on one
-    /// component, compile a [`CompiledTarget`] once and use
-    /// [`ArchFault::mount`].
+    /// Mounts `fault` inside `component` (owned, or already shared behind
+    /// an `Arc`) as a permanent fault, compiling the component for this
+    /// one mount. To mount many faults on one component, compile a
+    /// [`CompiledTarget`] once and use [`ArchFault::mount`].
     ///
     /// # Panics
     ///
     /// Same contract as [`CompiledTarget::compile`].
-    pub fn new(component: Component, fault: Fault) -> Self {
-        Self::mount(
-            Arc::new(CompiledTarget::compile(Arc::new(component))),
-            fault,
-        )
+    pub fn new(component: impl Into<Arc<Component>>, fault: Fault) -> Self {
+        Self::mount(Arc::new(CompiledTarget::compile(component.into())), fault)
     }
 
     /// Mounts `fault` as a permanent fault on an already compiled, shared

@@ -130,10 +130,9 @@ impl Characterizer {
                 .filter_map(|cut| {
                     let spec = TargetSpec::for_kind(cut.kind(), cut.component.width)?;
                     self.target_compiles.fetch_add(1, Ordering::Relaxed);
-                    let component = Arc::new(cut.component.clone());
                     Some(FaultTarget {
                         name: cut.name().to_owned(),
-                        compiled: Arc::new(CompiledTarget::compile(component)),
+                        compiled: Arc::new(CompiledTarget::compile(Arc::clone(&cut.component))),
                         spec,
                     })
                 })

@@ -17,32 +17,37 @@
 //!    mutually independent — every worker owns a private simulator — so
 //!    the reduction is a deterministic, fault-index-ordered merge and the
 //!    results are **bit-identical** to the single-threaded path.
-//! 3. **Event-level** (the default [`SimEngine::EventDriven`]): each batch
-//!    runs on an [`EventSimulator`], which only re-evaluates gates whose
-//!    inputs changed. Faults are packed into batches by fanout-cone
-//!    locality, so a batch's activity stays confined to a small region of
-//!    the netlist and the event-driven saving compounds.
+//! 3. **Event-level** ([`SimEngine::EventDriven`]): each batch runs on an
+//!    [`EventSimulator`], which only re-evaluates gates whose inputs
+//!    changed. Faults are packed into batches by fanout-cone locality, so
+//!    a batch's activity stays confined to a small region of the netlist
+//!    and the event-driven saving compounds.
 //!
-//! [`SimEngine::Compiled`] trades selectivity for raw throughput: the
-//! netlist is compiled once into a flat evaluation tape
+//! [`SimEngine::Compiled`] (the default) trades selectivity for raw
+//! throughput: the netlist is compiled once into a flat evaluation tape
 //! ([`crate::CompiledTape`]) with fanout-free chains collapsed, and each
 //! pass runs [`crate::MAX_LANE_WORDS`]` × 64 = 256` lanes wide — one
 //! reference plus up to 255 faults per pass, four times the narrow
-//! engines' packing density.
+//! engines' packing density. It also regroups: at fixed checkpoints a pass
+//! whose faults are mostly detected parks its survivors' lane states, and
+//! survivors from many passes are repacked into full passes that resume
+//! there, so a few hard faults no longer keep nearly empty passes running
+//! to the end of the stimulus (see `FaultSimulator::simulate_compiled`).
 //!
-//! Workers publish detections into a shared atomic bitmap as they find
-//! them (each fault's bit is owned by exactly one batch, hence one
-//! thread), and `drop_on_detect` keeps working unchanged: a worker stops
-//! clocking a batch as soon as all of its own faults are detected.
+//! The narrow engines publish detections into a shared atomic bitmap as
+//! they find them (each fault's bit is owned by exactly one batch, hence
+//! one thread), and `drop_on_detect` stops clocking a batch as soon as all
+//! of its own faults are detected; their first batch records the
+//! fault-free responses and always spans the whole stimulus.
 //!
 //! Coverage, per-fault detecting cycles and fault-free responses are
 //! bit-identical across every engine, thread count and batching choice:
-//! lanes are independent, a batch never stops before all of its own
-//! faults are detected, and the reference batch always spans the whole
-//! stimulus.
+//! lanes are independent machines, a fault is only ever dropped once
+//! detected, and a parked fault resumes from its own saved state.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -53,7 +58,7 @@ use crate::gate::{GateId, GateKind};
 use crate::net::NetId;
 use crate::netlist::Netlist;
 use crate::sim::{Simulator, LANES};
-use crate::tape::{CompiledTape, TapeSimulator, MAX_LANE_WORDS};
+use crate::tape::{CompiledTape, LaneSnapshot, TapeState, MAX_LANE_WORDS};
 
 /// Faults graded per simulation pass: one lane per fault, with lane 0
 /// reserved for the fault-free reference machine.
@@ -221,13 +226,14 @@ pub enum SimEngine {
     /// engine; simple, branch-free inner loop).
     FullEval,
     /// Selective trace: levelize once, then per cycle propagate only
-    /// through gates whose inputs changed (the default).
-    #[default]
+    /// through gates whose inputs changed.
     EventDriven,
     /// Compiled evaluation tape (see [`crate::CompiledTape`]): flat
     /// instruction stream with precomputed operand indices, fanout-free
     /// chains collapsed, and 4×`u64` lane blocks grading up to 255 faults
-    /// per pass.
+    /// per pass, with surviving faults repacked into full passes at
+    /// checkpoints (the default).
+    #[default]
     Compiled,
 }
 
@@ -284,7 +290,7 @@ pub struct FaultSimConfig {
     /// The effective count never exceeds the number of batches. Coverage
     /// results are bit-identical for every setting.
     pub threads: Option<usize>,
-    /// Simulation engine (default [`SimEngine::EventDriven`]). Coverage
+    /// Simulation engine (default [`SimEngine::Compiled`]). Coverage
     /// results are bit-identical for every engine; only
     /// [`SimStats::events_simulated`], batch packing and wall time differ.
     pub engine: SimEngine,
@@ -331,7 +337,8 @@ impl FaultSimConfig {
 /// Per-worker accounting for one [`FaultSimulator::simulate`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadStats {
-    /// Fault batches this worker graded.
+    /// Fault batches this worker graded (for the compiled engine: passes,
+    /// repacked ones included).
     pub batches: u64,
     /// Netlist cycles this worker clocked.
     pub cycles: u64,
@@ -346,13 +353,15 @@ pub struct ThreadStats {
 /// engine saved, and how evenly the work spread over the pool.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Fault batches graded ([`FAULTS_PER_BATCH`] faults each, plus
-    /// reference).
+    /// Fault batches graded from reset ([`SimEngine::faults_per_pass`]
+    /// faults each, plus reference).
     pub batches: u64,
-    /// Netlist cycles actually clocked, summed over batches.
+    /// Netlist cycles actually clocked, summed over batches (and, for the
+    /// compiled engine, over repacked passes and any reference-only tail).
     pub cycles_simulated: u64,
     /// Cycles that a full run would clock (`batches * stimulus.len()`);
-    /// the gap to `cycles_simulated` is the drop-on-detect saving.
+    /// the gap to `cycles_simulated` is the drop-on-detect saving, and
+    /// for the compiled engine the park-and-repack saving too.
     pub cycles_scheduled: u64,
     /// Gate-evaluation events actually performed (each event evaluating
     /// all [`LANES`] machines bit-parallel). Under [`SimEngine::FullEval`]
@@ -380,6 +389,11 @@ pub struct SimStats {
     /// (`batches × `[`SimEngine::faults_per_pass`]); the gap to
     /// `lane_slots_filled` is the final partial batch's padding.
     pub lane_slots_total: u64,
+    /// Passes the compiled engine formed by repacking parked survivors at
+    /// checkpoints (see the module docs); they come on top of
+    /// `batches`, and the per-thread batch counts include them. 0 for the
+    /// narrow engines.
+    pub repacked_passes: u64,
     /// One entry per worker thread, in worker order.
     pub per_thread: Vec<ThreadStats>,
 }
@@ -639,16 +653,19 @@ impl<'f> FaultList<'f> {
         }
     }
 
-    /// Injects fault `index` into a wide compiled-tape backend.
+    /// Injects fault `index` into lane `lane` of a compiled-tape state.
     fn inject_tape<const W: usize>(
         &self,
-        sim: &mut TapeSimulator<'_, '_, W>,
+        tape: &CompiledTape<&Netlist>,
+        sim: &mut TapeState<W>,
         index: usize,
         lane: usize,
     ) {
         match self {
-            FaultList::Stuck(faults) => sim.inject_fault(&faults[index], lane),
-            FaultList::Transition(faults) => sim.inject_transition_fault(&faults[index], lane),
+            FaultList::Stuck(faults) => sim.inject_fault(tape, &faults[index], lane),
+            FaultList::Transition(faults) => {
+                sim.inject_transition_fault(tape, &faults[index], lane)
+            }
         }
     }
 
@@ -753,16 +770,19 @@ impl<'a> FaultSimulator<'a> {
             })
         });
         let threads = self.config.resolved_threads(batches.len());
-        let mut result = if threads <= 1 {
-            self.simulate_serial(tape, &batches, faults, stimulus)
+        let batch_count = batches.len() as u64;
+        let mut result = if let Some(tape) = tape {
+            self.simulate_compiled(tape, batches, faults, stimulus, threads)
+        } else if threads <= 1 {
+            self.simulate_serial(&batches, faults, stimulus)
         } else {
-            self.simulate_threaded(tape, &batches, faults, stimulus, threads)
+            self.simulate_threaded(&batches, faults, stimulus, threads)
         };
         result.threads_used = threads;
         result.engine = self.config.engine;
         result.wall_time = start.elapsed();
-        result.stats.batches = batches.len() as u64;
-        result.stats.cycles_scheduled = batches.len() as u64 * stimulus.len() as u64;
+        result.stats.batches = batch_count;
+        result.stats.cycles_scheduled = batch_count * stimulus.len() as u64;
         result.stats.cycles_simulated = result.stats.per_thread.iter().map(|t| t.cycles).sum();
         result.stats.events_simulated = result.stats.per_thread.iter().map(|t| t.events).sum();
         result.stats.events_full_eval =
@@ -773,8 +793,7 @@ impl<'a> FaultSimulator<'a> {
         }
         result.stats.tape_compilations = tape_compilations;
         result.stats.lane_slots_filled = faults.len() as u64;
-        result.stats.lane_slots_total =
-            batches.len() as u64 * self.config.engine.faults_per_pass() as u64;
+        result.stats.lane_slots_total = batch_count * self.config.engine.faults_per_pass() as u64;
         result
     }
 
@@ -782,7 +801,6 @@ impl<'a> FaultSimulator<'a> {
     /// calling thread.
     fn simulate_serial(
         &self,
-        tape: Option<&CompiledTape<&Netlist>>,
         batches: &[Vec<u32>],
         faults: FaultList<'_>,
         stimulus: &Stimulus,
@@ -794,7 +812,6 @@ impl<'a> FaultSimulator<'a> {
         let busy_start = Instant::now();
         for (index, batch) in batches.iter().enumerate() {
             let (cycles_run, events_run, reference) = self.run_batch(
-                tape,
                 faults,
                 batch,
                 stimulus,
@@ -830,7 +847,6 @@ impl<'a> FaultSimulator<'a> {
     /// per-batch results in fault-index order.
     fn simulate_threaded(
         &self,
-        tape: Option<&CompiledTape<&Netlist>>,
         batches: &[Vec<u32>],
         faults: FaultList<'_>,
         stimulus: &Stimulus,
@@ -863,7 +879,6 @@ impl<'a> FaultSimulator<'a> {
                         };
                         let mut cycles = vec![None; batch.len()];
                         let (cycles_run, events_run, reference) = self.run_batch(
-                            tape,
                             faults,
                             batch,
                             stimulus,
@@ -940,23 +955,12 @@ impl<'a> FaultSimulator<'a> {
     /// performed, alongside the optional reference responses.
     fn run_batch(
         &self,
-        tape: Option<&CompiledTape<&Netlist>>,
         faults: FaultList<'_>,
         batch: &[u32],
         stimulus: &Stimulus,
         record_reference: bool,
         on_detect: &mut dyn FnMut(usize, u32),
     ) -> (u64, u64, Option<Vec<Vec<u64>>>) {
-        if let Some(tape) = tape {
-            return self.run_batch_compiled(
-                tape,
-                faults,
-                batch,
-                stimulus,
-                record_reference,
-                on_detect,
-            );
-        }
         debug_assert!(batch.len() <= FAULTS_PER_BATCH);
         let mut sim = Backend::new(self.netlist, self.config.engine);
         if self.config.reset_between_batches {
@@ -1022,97 +1026,428 @@ impl<'a> FaultSimulator<'a> {
         )
     }
 
-    /// [`FaultSimulator::run_batch`] for the compiled tape engine: the
-    /// same grading semantics at [`MAX_LANE_WORDS`]` × 64 = 256` lanes —
-    /// the detection masks, live mask and responses become `[u64; 4]`
-    /// blocks, with lane 0 of word 0 still the fault-free reference.
-    fn run_batch_compiled(
+    /// The compiled engine's driver: a deterministic park-and-repack
+    /// schedule over rounds of 255-fault passes.
+    ///
+    /// Round 0 grades the cone-ordered `batches` from reset. A pass ends
+    /// when the stimulus does, or (under drop-on-detect) once all its
+    /// faults are detected, or at a checkpoint — every
+    /// [`checkpoint_interval`] cycles — once fewer than half the faults it
+    /// started with are undetected: it then *parks*, saving each
+    /// survivor's lane state and the fault-free lane's. Survivors parked at
+    /// one checkpoint are repacked in fault-index order into full passes
+    /// that resume there with lane 0 restored to the fault-free state;
+    /// these form the next round, earliest checkpoint first. Lanes are
+    /// independent machines, so each fault follows its exact trajectory
+    /// from cycle 0, and every round merges in pass order, so detections,
+    /// responses and stats are the same for every thread count.
+    ///
+    /// Fault-free responses come from whichever pass clocks each observed
+    /// cycle first. Passes cover a prefix of the stimulus; if every fault
+    /// is detected before it ends, a reference-only 64-lane pass resumes
+    /// from the fault-free state where the last pass stopped.
+    fn simulate_compiled(
+        &self,
+        tape: &CompiledTape<&Netlist>,
+        batches: Vec<Vec<u32>>,
+        faults: FaultList<'_>,
+        stimulus: &Stimulus,
+        threads: usize,
+    ) -> FaultSimResult {
+        let responses = ReferenceResponses::new(stimulus.len(), self.netlist.outputs().len());
+        let mut detected = vec![false; faults.len()];
+        let mut detecting_cycle = vec![None; faults.len()];
+        let mut per_thread = vec![ThreadStats::default(); threads];
+        let mut states: Vec<TapeState<MAX_LANE_WORDS>> =
+            (0..threads).map(|_| TapeState::new(tape)).collect();
+        // Survivors by the checkpoint they parked at, with the fault-free
+        // lane's state there.
+        let mut parked: BTreeMap<usize, (LaneSnapshot, Vec<(u32, LaneSnapshot)>)> = BTreeMap::new();
+        // The furthest cycle a pass reached with all its faults detected,
+        // and the fault-free state there.
+        let mut frontier: Option<(usize, LaneSnapshot)> = None;
+        let mut repacked_passes = 0u64;
+        let mut round = Round {
+            start: 0,
+            reference: None,
+            passes: batches
+                .into_iter()
+                .map(|faults| Pass {
+                    faults,
+                    saved: Vec::new(),
+                })
+                .collect(),
+        };
+        loop {
+            let outcomes = self.run_round(
+                tape,
+                faults,
+                &round,
+                stimulus,
+                &responses,
+                &mut states,
+                &mut per_thread,
+            );
+            for outcome in outcomes {
+                for (fault, cycle) in outcome.detections {
+                    detected[fault as usize] = true;
+                    detecting_cycle[fault as usize] = Some(cycle);
+                }
+                if let Some(p) = outcome.parked {
+                    parked
+                        .entry(p.cycle)
+                        .or_insert_with(|| (p.reference, Vec::new()))
+                        .1
+                        .extend(p.lanes);
+                }
+                if let Some((cycle, state)) = outcome.finished {
+                    if frontier.as_ref().is_none_or(|(c, _)| cycle > *c) {
+                        frontier = Some((cycle, state));
+                    }
+                }
+            }
+            let Some((start, (reference, mut lanes))) = parked.pop_first() else {
+                break;
+            };
+            lanes.sort_unstable_by_key(|&(fault, _)| fault);
+            let mut passes = Vec::new();
+            let mut lanes = lanes.into_iter().peekable();
+            while lanes.peek().is_some() {
+                let (faults, saved) = lanes
+                    .by_ref()
+                    .take(SimEngine::Compiled.faults_per_pass())
+                    .unzip();
+                passes.push(Pass { faults, saved });
+            }
+            repacked_passes += passes.len() as u64;
+            round = Round {
+                start,
+                reference: Some(reference),
+                passes,
+            };
+        }
+        if !responses.complete(stimulus) {
+            let (start, reference) = frontier.expect("passes stopping early leave a frontier");
+            let busy_start = Instant::now();
+            let mut sim: TapeState<1> = TapeState::new(tape);
+            let tail = self.run_pass(
+                tape,
+                faults,
+                start,
+                Some(&reference),
+                &Pass::default(),
+                stimulus,
+                &responses,
+                &mut sim,
+            );
+            per_thread[0].cycles += tail.cycles;
+            per_thread[0].events += tail.events;
+            per_thread[0].busy += busy_start.elapsed();
+        }
+        FaultSimResult {
+            detected,
+            detecting_cycle,
+            fault_free_responses: responses.into_responses(stimulus),
+            threads_used: threads,
+            engine: self.config.engine,
+            wall_time: Duration::ZERO,
+            stats: SimStats {
+                repacked_passes,
+                per_thread,
+                ..SimStats::default()
+            },
+        }
+    }
+
+    /// Runs one round's passes — on the calling thread, or as one parallel
+    /// round over the workers behind an atomic cursor — and returns their
+    /// outcomes in pass order. Worker `k` drives `states[k]` and accounts
+    /// into `per_thread[k]`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_round(
         &self,
         tape: &CompiledTape<&Netlist>,
         faults: FaultList<'_>,
-        batch: &[u32],
+        round: &Round,
         stimulus: &Stimulus,
-        record_reference: bool,
-        on_detect: &mut dyn FnMut(usize, u32),
-    ) -> (u64, u64, Option<Vec<Vec<u64>>>) {
-        const W: usize = MAX_LANE_WORDS;
-        debug_assert!(batch.len() <= SimEngine::Compiled.faults_per_pass());
-        let mut sim: TapeSimulator<'_, '_, W> = TapeSimulator::new(tape);
-        if self.config.reset_between_batches {
-            sim.reset();
+        responses: &ReferenceResponses,
+        states: &mut [TapeState<MAX_LANE_WORDS>],
+        per_thread: &mut [ThreadStats],
+    ) -> Vec<PassOutcome> {
+        let run = |pass: &Pass, sim: &mut TapeState<MAX_LANE_WORDS>, stats: &mut ThreadStats| {
+            let outcome = self.run_pass(
+                tape,
+                faults,
+                round.start,
+                round.reference.as_ref(),
+                pass,
+                stimulus,
+                responses,
+                sim,
+            );
+            stats.batches += 1;
+            stats.cycles += outcome.cycles;
+            stats.events += outcome.events;
+            outcome
+        };
+        let workers = states.len().min(round.passes.len());
+        if workers <= 1 {
+            let busy_start = Instant::now();
+            let outcomes = round
+                .passes
+                .iter()
+                .map(|pass| run(pass, &mut states[0], &mut per_thread[0]))
+                .collect();
+            per_thread[0].busy += busy_start.elapsed();
+            return outcomes;
         }
-        for (lane_off, &fault_index) in batch.iter().enumerate() {
-            faults.inject_tape(&mut sim, fault_index as usize, lane_off + 1);
-        }
-        // Mask of lanes carrying live (not yet detected) faults:
-        // lanes 1..=batch.len() across the four words.
-        let mut live = [0u64; W];
-        for lane in 1..=batch.len() {
-            live[lane / 64] |= 1u64 << (lane % 64);
-        }
-        let mut undetected = live;
-        let mut fault_free_responses: Vec<Vec<u64>> = Vec::new();
-        let mut cycles_run: u64 = 0;
+        let slots: Vec<OnceLock<PassOutcome>> =
+            (0..round.passes.len()).map(|_| OnceLock::new()).collect();
+        let next_pass = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for (sim, stats) in states.iter_mut().zip(per_thread.iter_mut()).take(workers) {
+                let (run, slots, next_pass) = (&run, &slots, &next_pass);
+                scope.spawn(move || {
+                    let busy_start = Instant::now();
+                    loop {
+                        let index = next_pass.fetch_add(1, Ordering::Relaxed);
+                        let Some(pass) = round.passes.get(index) else {
+                            break;
+                        };
+                        slots[index]
+                            .set(run(pass, sim, stats))
+                            .unwrap_or_else(|_| unreachable!("each pass runs exactly once"));
+                    }
+                    stats.busy += busy_start.elapsed();
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every pass ran"))
+            .collect()
+    }
 
-        for (cycle, (inputs, observe)) in stimulus.iter().enumerate() {
-            cycles_run += 1;
-            let cycle_index = cycle as u32;
+    /// Grades one pass on `sim` from cycle `start`: faults go into lanes
+    /// `1..`, and when resuming at a checkpoint, lane 0 and each fault's
+    /// lane are restored from `reference` and the pass's saved states.
+    /// Records fault-free responses not recorded yet into `responses`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_pass<const W: usize>(
+        &self,
+        tape: &CompiledTape<&Netlist>,
+        faults: FaultList<'_>,
+        start: usize,
+        reference: Option<&LaneSnapshot>,
+        pass: &Pass,
+        stimulus: &Stimulus,
+        responses: &ReferenceResponses,
+        sim: &mut TapeState<W>,
+    ) -> PassOutcome {
+        debug_assert!(pass.faults.len() < 64 * W);
+        sim.clear_faults();
+        sim.reset();
+        for (offset, &fault) in pass.faults.iter().enumerate() {
+            faults.inject_tape(tape, sim, fault as usize, offset + 1);
+        }
+        if let Some(reference) = reference {
+            sim.restore_lane(0, reference);
+            for (offset, saved) in pass.saved.iter().enumerate() {
+                sim.restore_lane(offset + 1, saved);
+            }
+        }
+        // Lanes carrying undetected faults: 1..=pass.faults.len().
+        let mut undetected = [0u64; W];
+        for lane in 1..=pass.faults.len() {
+            undetected[lane / 64] |= 1u64 << (lane % 64);
+        }
+        let started = pass.faults.len();
+        let mut live = started;
+        let len = stimulus.len();
+        let interval = checkpoint_interval(len);
+        let drop = self.config.drop_on_detect;
+        let outputs = self.netlist.outputs();
+        let mut response = vec![0u64; outputs.len().div_ceil(64)];
+        let events_before = sim.events();
+        let mut out = PassOutcome::default();
+
+        for cycle in start..len {
+            let (inputs, observe) = &stimulus.cycles[cycle];
+            out.cycles += 1;
             debug_assert_eq!(inputs.len(), self.netlist.inputs().len());
             for (pos, &value) in inputs.iter().enumerate() {
                 sim.set_input_at(pos, value);
             }
-            sim.eval();
-            if observe {
+            sim.eval(tape);
+            if *observe {
+                let record = !responses.is_recorded(cycle);
+                response.fill(0);
                 let mut diff = [0u64; W];
-                let outputs = self.netlist.outputs();
-                let mut response_words: Vec<u64> = if record_reference {
-                    vec![0; outputs.len().div_ceil(64)]
-                } else {
-                    Vec::new()
-                };
-                for (k, &out) in outputs.iter().enumerate() {
-                    let v = sim.value(out);
+                for (k, &net) in outputs.iter().enumerate() {
+                    let v = sim.value(net);
                     let reference = 0u64.wrapping_sub(v[0] & 1); // broadcast lane 0
                     for w in 0..W {
                         diff[w] |= v[w] ^ reference;
                     }
-                    if record_reference && (v[0] & 1) == 1 {
-                        response_words[k / 64] |= 1u64 << (k % 64);
+                    if record {
+                        response[k / 64] |= (v[0] & 1) << (k % 64);
                     }
                 }
-                if record_reference {
-                    fault_free_responses.push(response_words);
+                if record {
+                    responses.record(cycle, &response);
                 }
                 let mut any_new = false;
                 for w in 0..W {
-                    let newly = diff[w] & undetected[w];
-                    if newly == 0 {
-                        continue;
-                    }
-                    any_new = true;
-                    let mut bits = newly;
-                    while bits != 0 {
-                        let lane = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        on_detect(batch[lane - 1] as usize, cycle_index);
-                    }
+                    let mut newly = diff[w] & undetected[w];
                     undetected[w] &= !newly;
+                    while newly != 0 {
+                        let lane = w * 64 + newly.trailing_zeros() as usize;
+                        newly &= newly - 1;
+                        out.detections.push((pass.faults[lane - 1], cycle as u32));
+                        live -= 1;
+                        any_new = true;
+                    }
                 }
-                if any_new
-                    && self.config.drop_on_detect
-                    && undetected == [0u64; W]
-                    && !record_reference
-                {
+                if any_new && live == 0 && drop {
+                    if cycle + 1 < len {
+                        sim.step(tape);
+                        out.finished = Some((cycle + 1, sim.snapshot_lane(0)));
+                    }
                     break;
                 }
             }
-            sim.step();
+            sim.step(tape);
+            let next = cycle + 1;
+            if drop && 2 * live < started && next % interval == 0 && next < len {
+                let lanes = (1..=started)
+                    .filter(|&lane| undetected[lane / 64] >> (lane % 64) & 1 == 1)
+                    .map(|lane| (pass.faults[lane - 1], sim.snapshot_lane(lane)))
+                    .collect();
+                out.parked = Some(Parked {
+                    cycle: next,
+                    reference: sim.snapshot_lane(0),
+                    lanes,
+                });
+                break;
+            }
         }
-        (
-            cycles_run,
-            sim.events(),
-            record_reference.then_some(fault_free_responses),
-        )
+        out.events = sim.events() - events_before;
+        out
+    }
+}
+
+/// Checkpoints per stimulus in the compiled engine's park-and-repack
+/// schedule.
+const CHECKPOINTS_PER_STIMULUS: usize = 32;
+
+/// Cycles between the compiled engine's checkpoints for a `len`-cycle
+/// stimulus. The grid follows from the stimulus length alone, so the
+/// schedule depends on nothing a caller configures.
+fn checkpoint_interval(len: usize) -> usize {
+    len.div_ceil(CHECKPOINTS_PER_STIMULUS).max(1)
+}
+
+/// One compiled-engine pass: up to 255 faults (global indices, in lanes
+/// `1..`), resumed at its round's start.
+#[derive(Default)]
+struct Pass {
+    faults: Vec<u32>,
+    /// Each fault's lane state at the round's start, parallel to
+    /// `faults`; empty for a pass that starts from reset.
+    saved: Vec<LaneSnapshot>,
+}
+
+/// Passes that start together at one checkpoint.
+struct Round {
+    /// The cycle the passes start at (0: from reset).
+    start: usize,
+    /// The fault-free lane's state at `start`; `None` from reset.
+    reference: Option<LaneSnapshot>,
+    passes: Vec<Pass>,
+}
+
+/// Survivors a pass parked at a checkpoint.
+struct Parked {
+    cycle: usize,
+    /// The fault-free lane's state at `cycle`.
+    reference: LaneSnapshot,
+    /// `(fault, lane state)` per undetected fault, in lane order.
+    lanes: Vec<(u32, LaneSnapshot)>,
+}
+
+/// What one pass produced.
+#[derive(Default)]
+struct PassOutcome {
+    /// `(fault, detecting cycle)` pairs.
+    detections: Vec<(u32, u32)>,
+    parked: Option<Parked>,
+    /// Set when all faults were detected before the stimulus ended: the
+    /// next cycle and the fault-free lane's state there.
+    finished: Option<(usize, LaneSnapshot)>,
+    cycles: u64,
+    events: u64,
+}
+
+/// Fault-free output words per cycle, filled by whichever pass clocks a
+/// cycle first. Every pass's lane 0 is the same fault-free machine, so
+/// racing writers store identical words; the scoped-thread join orders
+/// every store before the final read.
+struct ReferenceResponses {
+    words_per_cycle: usize,
+    words: Vec<AtomicU64>,
+    recorded: Vec<AtomicBool>,
+}
+
+impl ReferenceResponses {
+    fn new(cycles: usize, outputs: usize) -> Self {
+        let words_per_cycle = outputs.div_ceil(64);
+        ReferenceResponses {
+            words_per_cycle,
+            words: (0..cycles * words_per_cycle)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            recorded: (0..cycles).map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    fn is_recorded(&self, cycle: usize) -> bool {
+        self.recorded[cycle].load(Ordering::Relaxed)
+    }
+
+    fn record(&self, cycle: usize, response: &[u64]) {
+        let base = cycle * self.words_per_cycle;
+        for (slot, &word) in self.words[base..base + self.words_per_cycle]
+            .iter()
+            .zip(response)
+        {
+            slot.store(word, Ordering::Relaxed);
+        }
+        self.recorded[cycle].store(true, Ordering::Relaxed);
+    }
+
+    /// Whether every observed cycle of `stimulus` has its response.
+    fn complete(&self, stimulus: &Stimulus) -> bool {
+        stimulus
+            .iter()
+            .enumerate()
+            .all(|(cycle, (_, observe))| !observe || self.is_recorded(cycle))
+    }
+
+    /// The responses of the observed cycles, in order.
+    fn into_responses(self, stimulus: &Stimulus) -> Vec<Vec<u64>> {
+        let words: Vec<u64> = self.words.into_iter().map(AtomicU64::into_inner).collect();
+        stimulus
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, observe))| *observe)
+            .map(|(cycle, _)| {
+                assert!(
+                    self.recorded[cycle].load(Ordering::Relaxed),
+                    "cycle {cycle} has no fault-free response"
+                );
+                words[cycle * self.words_per_cycle..(cycle + 1) * self.words_per_cycle].to_vec()
+            })
+            .collect()
     }
 }
 
@@ -1589,8 +1924,14 @@ mod tests {
         for _ in 0..64 {
             s.push_pattern(&[false; 40]);
         }
-        let res =
-            FaultSimulator::with_config(&n, FaultSimConfig::with_threads(2)).simulate(&faults, &s);
+        // 63-lane batching makes this fault list multi-batch; on the
+        // 255-lane compiled engine it is one pass, whose fault-free lane
+        // must span the stimulus anyway.
+        let cfg = FaultSimConfig {
+            engine: SimEngine::EventDriven,
+            ..FaultSimConfig::with_threads(2)
+        };
+        let res = FaultSimulator::with_config(&n, cfg).simulate(&faults, &s);
         assert_eq!(res.coverage().percent(), 100.0);
         assert!(
             res.stats.cycles_simulated < res.stats.cycles_scheduled,
@@ -1760,6 +2101,6 @@ mod tests {
             SimEngine::from_name(SimEngine::FullEval.name()),
             Some(SimEngine::FullEval)
         );
-        assert_eq!(SimEngine::default(), SimEngine::EventDriven);
+        assert_eq!(SimEngine::default(), SimEngine::Compiled);
     }
 }

@@ -497,6 +497,8 @@ struct SiteTable<T> {
     sites: usize,
     slot: Vec<u32>,
     items: Vec<T>,
+    /// The site of each item, parallel to `items`.
+    keys: Vec<u32>,
 }
 
 impl<T: Default> SiteTable<T> {
@@ -505,6 +507,7 @@ impl<T: Default> SiteTable<T> {
             sites,
             slot: Vec::new(),
             items: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -540,6 +543,7 @@ impl<T: Default> SiteTable<T> {
         }
         if self.slot[site] == 0 {
             self.items.push(T::default());
+            self.keys.push(site as u32);
             self.slot[site] = self.items.len() as u32;
         }
         let k = self.slot[site] as usize - 1;
@@ -553,7 +557,35 @@ impl<T: Default> SiteTable<T> {
     fn clear(&mut self) {
         self.slot.fill(0);
         self.items.clear();
+        self.keys.clear();
     }
+
+    /// `(site, item)` pairs in insertion order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        self.keys.iter().copied().zip(&self.items)
+    }
+}
+
+/// The sequential state of one lane of a [`TapeState`], bit-packed: what
+/// that lane's machine carries from one cycle into the next.
+///
+/// A lane's future depends on its inputs, its injected faults and this
+/// state only — net values are recomputed from scratch by every eval — so
+/// a lane snapshotted once a cycle's flip-flops latch and restored into
+/// any lane of another state (of any width, with the same faults injected
+/// there) evaluates exactly as the original lane would have. The fault
+/// simulator's compiled engine uses this to move surviving faults between
+/// passes at checkpoints.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LaneSnapshot {
+    /// Flip-flop bits, 64 per word, parallel to the tape's flip-flop list.
+    dffs: Vec<u64>,
+    /// Per transition site carrying a fault in this lane: the net, the
+    /// lane's recorded `prev` bit and whether the site has recorded one.
+    arming: Vec<(u32, bool, bool)>,
+    /// Whether the state had evaluated once since reset, so transition
+    /// faults force on the next eval.
+    primed: bool,
 }
 
 /// The mutable half of a tape simulation: net values, inputs, flip-flop
@@ -641,6 +673,75 @@ impl<const W: usize> TapeState<W> {
         self.dff_pins.clear();
         self.transitions.clear();
         self.transition_primed = false;
+    }
+
+    /// Captures lane `lane`'s sequential state: its flip-flop bits, and for
+    /// every transition fault injected in this lane the arming bit of the
+    /// fault's net. Taken once a cycle's flip-flops latch, it is the state
+    /// the lane enters the next cycle with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= 64 * W`.
+    pub(crate) fn snapshot_lane(&self, lane: usize) -> LaneSnapshot {
+        assert!(lane < 64 * W, "lane {lane} out of range for W={W}");
+        let (word, bit) = (lane / 64, lane % 64);
+        let mut dffs = vec![0u64; self.state.len().div_ceil(64)];
+        for (k, q) in self.state.iter().enumerate() {
+            dffs[k / 64] |= (q[word] >> bit & 1) << (k % 64);
+        }
+        let arming = self
+            .transitions
+            .iter()
+            .filter(|(_, st)| (st.rise[word] | st.fall[word]) >> bit & 1 == 1)
+            .map(|(net, st)| (net, st.prev[word] >> bit & 1 == 1, st.seen))
+            .collect();
+        LaneSnapshot {
+            dffs,
+            arming,
+            primed: self.transition_primed,
+        }
+    }
+
+    /// Loads `snapshot` into lane `lane`, leaving every other lane's
+    /// flip-flops untouched. Inject the lane's faults first: arming bits
+    /// are restored onto transition sites already present, and a site
+    /// this state carries no fault on is skipped.
+    ///
+    /// `seen` and the primed flag are shared by all lanes; every snapshot
+    /// restored into one state must come from the same cycle, where they
+    /// agree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= 64 * W` or the snapshot came from a tape with a
+    /// different flip-flop count.
+    pub(crate) fn restore_lane(&mut self, lane: usize, snapshot: &LaneSnapshot) {
+        assert!(lane < 64 * W, "lane {lane} out of range for W={W}");
+        assert_eq!(
+            snapshot.dffs.len(),
+            self.state.len().div_ceil(64),
+            "snapshot from a tape with another flip-flop count"
+        );
+        let (word, mask) = (lane / 64, 1u64 << (lane % 64));
+        for (k, q) in self.state.iter_mut().enumerate() {
+            if snapshot.dffs[k / 64] >> (k % 64) & 1 == 1 {
+                q[word] |= mask;
+            } else {
+                q[word] &= !mask;
+            }
+        }
+        for &(net, prev, seen) in &snapshot.arming {
+            if let Some(st) = self.transitions.get_mut(net as usize) {
+                if prev {
+                    st.prev[word] |= mask;
+                } else {
+                    st.prev[word] &= !mask;
+                }
+                st.seen = seen;
+            }
+        }
+        self.transition_primed = snapshot.primed;
     }
 
     /// Injects `fault` into lane `lane` (in `0..64·W`). Lane 0 is
@@ -1605,6 +1706,148 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Three inputs, a collapsible not→and→or chain into a flip-flop
+    /// pipeline, and two observed outputs.
+    fn pipelined_chain_netlist() -> Netlist {
+        let mut b = NetlistBuilder::new("pipe");
+        let a = b.input("a");
+        let c = b.input("b");
+        let d = b.input("c");
+        let n1 = b.not(a);
+        let n2 = b.and2(n1, c);
+        let n3 = b.or2(n2, d);
+        let q1 = b.dff(n3);
+        let q2 = b.dff(q1);
+        let x = b.xor2(q1, a);
+        let q3 = b.dff(x);
+        let o1 = b.xor2(q2, q3);
+        let o2 = b.and2(q1, c);
+        b.mark_output(o1, "o1");
+        b.mark_output(o2, "o2");
+        b.finish().unwrap()
+    }
+
+    fn drive<const W: usize>(st: &mut TapeState<W>, tape: &CompiledTape<&Netlist>, pattern: u32) {
+        for k in 0..tape.netlist().inputs().len() {
+            st.set_input_at(k, pattern >> k & 1 == 1);
+        }
+        st.eval(tape);
+    }
+
+    fn lane_bit<const W: usize>(st: &TapeState<W>, net: NetId, lane: usize) -> bool {
+        st.value(net)[lane / 64] >> (lane % 64) & 1 == 1
+    }
+
+    /// Either fault model, injectable into a state of any width.
+    #[derive(Clone, Copy)]
+    enum AnyFault {
+        Stuck(Fault),
+        Transition(TransitionFault),
+    }
+
+    impl AnyFault {
+        fn inject<const W: usize>(
+            self,
+            st: &mut TapeState<W>,
+            tape: &CompiledTape<&Netlist>,
+            lane: usize,
+        ) {
+            match self {
+                AnyFault::Stuck(f) => st.inject_fault(tape, &f, lane),
+                AnyFault::Transition(f) => st.inject_transition_fault(tape, &f, lane),
+            }
+        }
+    }
+
+    /// Runs `faults` (fault `i` in lane `1 + i`) for `split` patterns on a
+    /// 64-lane state, moves every lane into a 256-lane state at scattered
+    /// lanes, and evaluates the rest of `patterns` on both. `strip_arming`
+    /// drops the transition arming bits from the moved snapshots (a
+    /// negative control). Returns whether every lane's outputs matched its
+    /// moved twin, and whether any faulty lane's outputs left the
+    /// reference's after the move.
+    fn move_lanes_mid_run(
+        n: &Netlist,
+        faults: &[AnyFault],
+        patterns: &[u32],
+        split: usize,
+        strip_arming: bool,
+    ) -> (bool, bool) {
+        let tape = CompiledTape::compile(n);
+        let mut narrow: TapeState<1> = TapeState::new(&tape);
+        let mut wide: TapeState<4> = TapeState::new(&tape);
+        let moved = |lane: usize| if lane == 0 { 130 } else { 255 - lane };
+        for (i, f) in faults.iter().enumerate() {
+            f.inject(&mut narrow, &tape, 1 + i);
+            f.inject(&mut wide, &tape, moved(1 + i));
+        }
+        for &p in &patterns[..split] {
+            drive(&mut narrow, &tape, p);
+            narrow.step(&tape);
+        }
+        for lane in 0..=faults.len() {
+            let mut snap = narrow.snapshot_lane(lane);
+            if strip_arming {
+                snap.arming.clear();
+            }
+            wide.restore_lane(moved(lane), &snap);
+        }
+        let (mut same, mut active) = (true, false);
+        for &p in &patterns[split..] {
+            drive(&mut narrow, &tape, p);
+            drive(&mut wide, &tape, p);
+            for &o in n.outputs() {
+                for lane in 0..=faults.len() {
+                    let v = lane_bit(&narrow, o, lane);
+                    same &= v == lane_bit(&wide, o, moved(lane));
+                    active |= lane > 0 && v != lane_bit(&narrow, o, 0);
+                }
+            }
+            narrow.step(&tape);
+            wide.step(&tape);
+            if !strip_arming {
+                // The next cycle's state agrees too, not just the outputs.
+                for lane in 0..=faults.len() {
+                    assert_eq!(
+                        narrow.snapshot_lane(lane),
+                        wide.snapshot_lane(moved(lane)),
+                        "lane {lane} after pattern {p}"
+                    );
+                }
+            }
+        }
+        (same, active)
+    }
+
+    #[test]
+    fn lane_snapshot_restore_reproduces_next_evals() {
+        let n = pipelined_chain_netlist();
+        assert!(
+            CompiledTape::compile(&n).chains_collapsed() > 0,
+            "covers chain-interior sites"
+        );
+        let patterns = [0u32, 7, 1, 6, 2, 2, 5, 0, 3, 4, 7, 0, 1, 6, 6, 3];
+        let stuck: Vec<AnyFault> = n.all_faults().into_iter().map(AnyFault::Stuck).collect();
+        let transition: Vec<AnyFault> = crate::fault::enumerate_transition_faults(&n)
+            .into_iter()
+            .map(AnyFault::Transition)
+            .collect();
+        assert!(stuck.len() < 64 && transition.len() < 64);
+        for split in [1, 4, 9] {
+            for (faults, model) in [(&stuck, "stuck-at"), (&transition, "transition")] {
+                let (same, active) = move_lanes_mid_run(&n, faults, &patterns, split, false);
+                assert!(same, "{model} lanes diverged after a move at {split}");
+                assert!(active, "{model} faults never showed after {split}");
+            }
+        }
+        // The arming bits carry real state: moving transition lanes
+        // without them changes what some lane evaluates next.
+        let stripped_differs = [1, 4, 9]
+            .iter()
+            .any(|&split| !move_lanes_mid_run(&n, &transition, &patterns, split, true).0);
+        assert!(stripped_differs, "arming restore is never exercised");
     }
 
     #[test]
